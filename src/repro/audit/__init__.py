@@ -10,8 +10,9 @@ layer that guards against exactly that:
   violations, strict/collect modes) and the violation types.
 - :mod:`repro.audit.invariants` — the checks themselves: structural
   schedule validation, deadline satisfaction at the chosen operating
-  point, and energy-conservation invariants cross-checked against an
-  independently recomputed per-processor integral.
+  point, energy-conservation invariants cross-checked against an
+  independently recomputed per-processor integral, and the bitwise
+  cross-check of every batched sweep row against the scalar evaluator.
 - :mod:`repro.audit.corpus` — :func:`audit_corpus`, the bundled
   STG + MPEG sweep behind the ``repro audit`` CLI subcommand.
 
@@ -26,6 +27,7 @@ from .invariants import (
     audit_energy,
     audit_intermediate_schedule,
     audit_result,
+    audit_sweep,
     reference_energy,
 )
 from .report import AuditLog, AuditViolation, AuditViolationError
@@ -37,6 +39,7 @@ __all__ = [
     "audit_intermediate_schedule",
     "audit_energy",
     "audit_result",
+    "audit_sweep",
     "reference_energy",
     "CorpusAudit",
     "CorpusRow",

@@ -21,7 +21,7 @@ mode, accumulating otherwise.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..power.dvs import OperatingPoint
 from ..power.shutdown import SleepModel
@@ -40,6 +40,7 @@ __all__ = [
     "reference_energy",
     "audit_intermediate_schedule",
     "audit_energy",
+    "audit_sweep",
     "audit_result",
 ]
 
@@ -107,6 +108,46 @@ def _close(a: float, b: float, scale: float) -> bool:
     return abs(a - b) <= _ENERGY_REL_TOL * max(1.0, scale)
 
 
+def _exact_diffs(energy: "EnergyBreakdown",
+                 scalar: "EnergyBreakdown") -> List[str]:
+    return [
+        f"{name} {got!r} != {want!r}"
+        for name, got, want in (
+            ("busy", energy.busy, scalar.busy),
+            ("idle", energy.idle, scalar.idle),
+            ("sleep", energy.sleep, scalar.sleep),
+            ("overhead", energy.overhead, scalar.overhead),
+            ("n_shutdowns", energy.n_shutdowns, scalar.n_shutdowns),
+        )
+        if got != want
+    ]
+
+
+def audit_sweep(schedule: Schedule, points: Sequence[OperatingPoint],
+                energies: Sequence["EnergyBreakdown"],
+                deadline_seconds: float, sleep: Optional[SleepModel],
+                log: AuditLog, context: str) -> None:
+    """Every row of a batched ladder sweep equals the scalar reference.
+
+    ``energies[i]`` is the broadcast result for ``points[i]``; each row
+    is recomputed with :func:`repro.core.energy.schedule_energy` and
+    must match it exactly.  One passed check per matching row.
+    """
+    from ..core.energy import schedule_energy
+
+    for point, energy in zip(points, energies):
+        scalar = schedule_energy(schedule, point, deadline_seconds,
+                                 sleep=sleep)
+        diffs = _exact_diffs(energy, scalar)
+        if diffs:
+            log.fail("energy", f"{context}@{point.frequency / 1e9:.4g} GHz",
+                     "batched sweep row is not bitwise-equal to the "
+                     "scalar schedule_energy reference: "
+                     + "; ".join(diffs))
+        else:
+            log.passed()
+
+
 def audit_energy(schedule: Schedule, energy: "EnergyBreakdown",
                  point: OperatingPoint, deadline_seconds: float,
                  sleep: Optional[SleepModel], log: AuditLog,
@@ -150,17 +191,7 @@ def audit_energy(schedule: Schedule, energy: "EnergyBreakdown",
     #    schedule_energy by construction — this is the check that keeps
     #    it honest.
     scalar = schedule_energy(schedule, point, deadline_seconds, sleep=sleep)
-    exact_diffs = [
-        f"{name} {got!r} != {want!r}"
-        for name, got, want in (
-            ("busy", energy.busy, scalar.busy),
-            ("idle", energy.idle, scalar.idle),
-            ("sleep", energy.sleep, scalar.sleep),
-            ("overhead", energy.overhead, scalar.overhead),
-            ("n_shutdowns", energy.n_shutdowns, scalar.n_shutdowns),
-        )
-        if got != want
-    ]
+    exact_diffs = _exact_diffs(energy, scalar)
     if exact_diffs:
         log.fail("energy", context,
                  "breakdown is not bitwise-equal to the scalar "

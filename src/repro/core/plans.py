@@ -91,32 +91,38 @@ class PlannedSweep:
 
 
 def sweep_energies(sweeps: Sequence[PlannedSweep],
-                   deadline_seconds: float) -> List[List[EnergyBreakdown]]:
+                   deadline_seconds: Union[float, Sequence[float]]
+                   ) -> List[List[EnergyBreakdown]]:
     """Evaluate planned ladder sweeps in one batched broadcast.
 
     Stacks the distinct schedules of ``sweeps`` into one
     :class:`~repro.core.batch.ScheduleBatch` and evaluates every sweep
     through a single :func:`~repro.core.batch.batch_energy_sweep` call.
+    ``deadline_seconds`` is one window shared by every sweep (one
+    search), or one window per sweep (a chunk of instances).
     Bitwise-identical to ``[schedule_energy_sweep(s.schedule,
-    list(s.points), deadline_seconds, sleep=s.sleep) for s in sweeps]``
-    — including exceptions, which the batch kernel raises for the first
+    list(s.points), window, sleep=s.sleep) for s in sweeps]`` —
+    including exceptions, which the batch kernel raises for the first
     offending request in request order, i.e. exactly where the serial
     loop would have raised first.
     """
     sweeps = list(sweeps)
     if not sweeps:
         return []
+    windows = (list(deadline_seconds)
+               if isinstance(deadline_seconds, Sequence)
+               else [deadline_seconds] * len(sweeps))
     schedules: List[Schedule] = []
     index: Dict[int, int] = {}
     requests: List[SweepRequest] = []
-    for ps in sweeps:
+    for ps, window in zip(sweeps, windows):
         key = id(ps.schedule)
         if key not in index:
             index[key] = len(schedules)
             schedules.append(ps.schedule)
         requests.append(SweepRequest(
             schedule_index=index[key], points=tuple(ps.points),
-            deadline_seconds=deadline_seconds, sleep=ps.sleep))
+            deadline_seconds=window, sleep=ps.sleep))
     return batch_energy_sweep(ScheduleBatch.from_schedules(schedules),
                               requests)
 

@@ -1,36 +1,34 @@
-"""Fast evaluation of the full paper lineup on one instance.
+"""Fast evaluation of the full paper lineup on a chunk of instances.
 
-:func:`paper_suite` produces the same results as calling
-:func:`repro.core.api.schedule` six times, but shares the expensive
-intermediates: S&S and S&S+PS use one schedule, and LAMPS and LAMPS+PS
-share the whole per-processor-count schedule cache.  The experiment
-harness calls this in its inner loop (thousands of instances), so the
-sharing matters — profiling shows list scheduling dominates the runtime,
-exactly as the paper's complexity analysis (``T_LAMPS ~ #schedules *
-T_ls``) predicts.
+:func:`paper_suite_batch` produces the same results as calling
+:func:`repro.core.api.schedule` six times per instance, but shares the
+expensive intermediates: S&S and S&S+PS use one schedule, and LAMPS and
+LAMPS+PS share the whole per-processor-count schedule cache.  The
+experiment harness and the service call it in their inner loop
+(thousands of instances), so the sharing matters — profiling shows list
+scheduling dominates the runtime, exactly as the paper's complexity
+analysis (``T_LAMPS ~ #schedules * T_ls``) predicts.
 
 The suite is organised as a *plan/finish* split: ``_plan_suite`` runs
 all control flow — schedule construction, feasibility checks, LAMPS
 phase 1 and the phase-2 processor-count walk — and emits the ordered
 list of ladder sweeps the searches need, without evaluating any energy
 (control flow is energy-independent; see DESIGN.md, "Why batched padded
-sweeps are exact").  ``_finish_suite`` turns the sweep results back into
-the six :class:`~repro.core.results.ScheduleResult` entries with the
-historical tie-breaking.  :func:`paper_suite` glues the two with one
-:func:`~repro.core.energy.schedule_energy_sweep` per planned sweep;
-:func:`paper_suite_batch` evaluates a whole chunk of instances' plans in
-a single :func:`~repro.core.batch.batch_energy_sweep` broadcast — both
-paths share the plan and finish code, so they cannot drift apart.
+sweeps are exact").  One :func:`~repro.core.batch.batch_energy_sweep`
+broadcast evaluates every planned sweep of the chunk, and
+``_finish_suite`` turns the results back into the six
+:class:`~repro.core.results.ScheduleResult` entries with the historical
+tie-breaking.  This is the only suite body: strict and profiled runs
+take it too, and :func:`paper_suite` is a one-instance chunk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, \
-    Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..audit.invariants import audit_result
+from ..audit.invariants import audit_result, audit_sweep
 from ..audit.report import AuditLog
 from ..graphs.dag import TaskGraph
 from ..obs import NullObs, ObsLog, live
@@ -39,20 +37,15 @@ from ..power.shutdown import SleepModel
 from ..sched.list_scheduler import list_schedule
 from ..sched.priorities import PriorityPolicy
 from ..sched.schedule import Schedule
-from .batch import ScheduleBatch, SweepRequest, batch_energy_sweep
 from .energy import EnergyBreakdown, schedule_energy_sweep
 from .lamps import _candidate_points, _select_best
 from .limits import limit_mf, limit_sf
-from .plans import PlanCache, PlannedSweep, plan_scope
+from .plans import PlanCache, PlannedSweep, plan_scope, sweep_energies
 from .platform import Platform, default_platform
 from .results import Heuristic, InfeasibleScheduleError, ScheduleResult
 from .stretch import stretch_point
 
 __all__ = ["paper_suite", "paper_suite_batch"]
-
-# Backwards-compatible alias: the planned-sweep record moved to
-# repro.core.plans so the LAMPS searches can share it.
-_PlannedSweep = PlannedSweep
 
 
 def paper_suite(
@@ -61,34 +54,19 @@ def paper_suite(
     *,
     platform: Optional[Platform] = None,
     policy: Union[str, PriorityPolicy] = "edf",
-    deadline_overrides: Optional[Mapping[Hashable, float]] = None,
     strict: bool = False,
     audit: Optional[AuditLog] = None,
     obs: Optional[ObsLog] = None,
-    plans: Optional[PlanCache] = None,
 ) -> Dict[Heuristic, ScheduleResult]:
     """All six approaches on one (graph, deadline) instance.
 
     Returns a dict in the paper's presentation order: S&S, LAMPS,
-    S&S+PS, LAMPS+PS, LIMIT-SF, LIMIT-MF.
-
-    ``strict``/``audit`` enable the invariant checks of
-    :mod:`repro.audit` on every intermediate schedule and every
-    schedule-bearing result; ``obs`` records phase spans and search
-    counters into an :class:`~repro.obs.ObsLog`.  Neither affects the
-    returned results.  ``plans`` shares a per-instance
-    :class:`~repro.core.plans.PlanCache` with other searches on the
-    same instance (ignored under strict/audit — see
-    :func:`~repro.core.plans.plan_scope`).
+    S&S+PS, LAMPS+PS, LIMIT-SF, LIMIT-MF.  A one-instance
+    :func:`paper_suite_batch`; the knobs mean the same there.
     """
-    o = live(obs)
-    with o.span("suite.paper_suite", category="suite",
-                graph=graph.name, tasks=graph.n):
-        return _paper_suite(graph, deadline_cycles, platform=platform,
-                            policy=policy,
-                            deadline_overrides=deadline_overrides,
-                            strict=strict, audit=audit, obs=obs, o=o,
-                            plans=plans)
+    return paper_suite_batch([(graph, deadline_cycles)], platform=platform,
+                             policy=policy, strict=strict, audit=audit,
+                             obs=obs)[0]
 
 
 @dataclass
@@ -108,10 +86,9 @@ class _SuitePlan:
     deadline_seconds: float
     deadlines: object  # per-task deadline array (np.ndarray)
     platform: Platform
-    deadline_overrides: Optional[Mapping[Hashable, float]]
     log: Optional[AuditLog]
     s_full: Schedule
-    plans: Optional[PlanCache] = None
+    plans: PlanCache
     sweeps: List[PlannedSweep] = field(default_factory=list)
     sns: int = -1
     sns_ps: int = -1
@@ -124,12 +101,10 @@ def _plan_suite(
     *,
     platform: Optional[Platform],
     policy: Union[str, PriorityPolicy],
-    deadline_overrides: Optional[Mapping[Hashable, float]],
     strict: bool,
     audit: Optional[AuditLog],
     obs: Optional[ObsLog],
     o: Union[ObsLog, NullObs],
-    plans: Optional[PlanCache] = None,
 ) -> _SuitePlan:
     """Run the suite's control flow; emit the sweeps it needs.
 
@@ -149,9 +124,8 @@ def _plan_suite(
     """
     platform = platform or default_platform()
     log = audit if audit is not None else (AuditLog() if strict else None)
-    plans = plan_scope(plans, log)
-    d = plans.deadline_vector(graph, deadline_cycles,
-                              overrides=deadline_overrides)
+    plans = plan_scope(None, log)
+    d = plans.deadline_vector(graph, deadline_cycles)
     deadline_seconds = platform.seconds(deadline_cycles)
 
     def sched(n: int) -> Schedule:
@@ -164,8 +138,7 @@ def _plan_suite(
         plan = _SuitePlan(
             graph=graph, deadline_cycles=deadline_cycles,
             deadline_seconds=deadline_seconds, deadlines=d,
-            platform=platform, deadline_overrides=deadline_overrides,
-            log=log, s_full=s_full, plans=plans)
+            platform=platform, log=log, s_full=s_full, plans=plans)
 
         def add(s: Schedule, points: Sequence[OperatingPoint],
                 sleep: Optional[SleepModel]) -> int:
@@ -299,10 +272,10 @@ def _finish_suite(
     with o.span("suite.limits", category="suite", graph=graph.name):
         out[Heuristic.LIMIT_SF] = limit_sf(
             graph, plan.deadline_cycles, platform=platform,
-            deadline_overrides=plan.deadline_overrides, plans=plan.plans)
+            plans=plan.plans)
         out[Heuristic.LIMIT_MF] = limit_mf(
             graph, plan.deadline_cycles, platform=platform,
-            deadline_overrides=plan.deadline_overrides, plans=plan.plans)
+            plans=plan.plans)
     if log is not None:
         for h, res in out.items():
             audit_result(
@@ -313,31 +286,6 @@ def _finish_suite(
     order = (Heuristic.SNS, Heuristic.LAMPS, Heuristic.SNS_PS,
              Heuristic.LAMPS_PS, Heuristic.LIMIT_SF, Heuristic.LIMIT_MF)
     return {h: out[h] for h in order}
-
-
-def _paper_suite(
-    graph: TaskGraph,
-    deadline_cycles: float,
-    *,
-    platform: Optional[Platform],
-    policy: Union[str, PriorityPolicy],
-    deadline_overrides: Optional[Mapping[Hashable, float]],
-    strict: bool,
-    audit: Optional[AuditLog],
-    obs: Optional[ObsLog],
-    o: Union[ObsLog, NullObs],
-    plans: Optional[PlanCache] = None,
-) -> Dict[Heuristic, ScheduleResult]:
-    plan = _plan_suite(graph, deadline_cycles, platform=platform,
-                       policy=policy,
-                       deadline_overrides=deadline_overrides,
-                       strict=strict, audit=audit, obs=obs, o=o,
-                       plans=plans)
-    energies = [
-        schedule_energy_sweep(ps.schedule, list(ps.points),
-                              plan.deadline_seconds, sleep=ps.sleep)
-        for ps in plan.sweeps]
-    return _finish_suite(plan, energies, o)
 
 
 def _annotate_instance_failure(exc: BaseException, index: int,
@@ -365,84 +313,102 @@ def _annotate_instance_failure(exc: BaseException, index: int,
         pass
 
 
+def _audit_rows(plan: _SuitePlan,
+                energies: Sequence[List[EnergyBreakdown]]) -> None:
+    """Strict row check of one instance's slice of the broadcast."""
+    assert plan.log is not None
+    for ps, row in zip(plan.sweeps, energies):
+        audit_sweep(ps.schedule, ps.points, row, plan.deadline_seconds,
+                    ps.sleep, plan.log,
+                    f"{plan.graph.name or 'graph'}"
+                    f"[n={ps.schedule.n_processors}]")
+
+
 def paper_suite_batch(
     instances: Sequence[Tuple[TaskGraph, float]],
     *,
     platform: Optional[Platform] = None,
     policy: Union[str, PriorityPolicy] = "edf",
+    strict: bool = False,
+    audit: Optional[AuditLog] = None,
+    obs: Optional[ObsLog] = None,
 ) -> List[Dict[Heuristic, ScheduleResult]]:
-    """:func:`paper_suite` on a chunk of instances, one broadcast sweep.
+    """The paper suite on a chunk of instances, one broadcast sweep.
 
     Plans every instance sequentially (so any
     :class:`~repro.core.results.InfeasibleScheduleError` surfaces for
-    the same instance, in the same order, as a serial loop), stacks all
-    distinct planned schedules into one
-    :class:`~repro.core.batch.ScheduleBatch`, evaluates every planned
-    ladder in a single :func:`~repro.core.batch.batch_energy_sweep`
-    call, and finishes each instance from its slice of the results.
-    Bitwise-identical to ``[paper_suite(g, d, ...) for g, d in
-    instances]`` — the differential suites in
-    ``tests/core/test_batch_sweep.py`` and ``tests/exec/`` hold both
-    paths to byte equality.
+    the same instance, in the same order, as a serial loop), evaluates
+    every planned ladder of the chunk in a single
+    :func:`~repro.core.batch.batch_energy_sweep` call (via
+    :func:`~repro.core.plans.sweep_energies`), and finishes each
+    instance from its slice of the results.  Bitwise-identical to
+    evaluating the instances one at a time — the differential suites in
+    ``tests/core/test_batch_sweep.py`` and ``tests/exec/`` hold this to
+    byte equality.  An exception escaping an instance's plan or finish
+    step carries that instance's chunk-local ``instance_index``.
 
-    Audit/obs knobs are deliberately absent: strict and profiling
-    campaigns use the serial path, whose span nesting reflects real
-    per-instance timing.
+    ``strict``/``audit`` run the :mod:`repro.audit` invariant checks on
+    every intermediate schedule and every schedule-bearing result, and
+    cross-check every broadcast row against the scalar
+    :func:`~repro.core.energy.schedule_energy` bitwise (``strict``
+    alone uses a fresh :class:`~repro.audit.report.AuditLog` per
+    instance).  ``obs`` records a ``suite.batch`` span around
+    per-instance ``suite.plan`` spans, one ``suite.sweep`` and
+    per-instance ``suite.finish`` spans.  Neither changes the results.
 
     Returns:
         One heuristic→result dict per instance, in input order.
     """
-    o = live(None)
-    plans: List[_SuitePlan] = []
-    for i, (graph, deadline) in enumerate(instances):
-        try:
-            plans.append(_plan_suite(
-                graph, deadline, platform=platform, policy=policy,
-                deadline_overrides=None, strict=False, audit=None,
-                obs=None, o=o))
-        except BaseException as exc:
-            _annotate_instance_failure(exc, i, (graph, deadline))
-            raise
-    if not plans:
-        return []
-
-    schedules: List[Schedule] = []
-    index: Dict[int, int] = {}
-    requests: List[SweepRequest] = []
-    for plan in plans:
-        for ps in plan.sweeps:
-            key = id(ps.schedule)
-            if key not in index:
-                index[key] = len(schedules)
-                schedules.append(ps.schedule)
-            requests.append(SweepRequest(
-                schedule_index=index[key], points=ps.points,
-                deadline_seconds=plan.deadline_seconds, sleep=ps.sleep))
-    batch = ScheduleBatch.from_schedules(schedules)
-    try:
-        energies = batch_energy_sweep(batch, requests)
-    except ValueError:
-        # Exceptions must surface with serial per-instance attribution
-        # (the pool annotates them with the failing instance index), so
-        # re-run the sweeps serially; the first offender re-raises the
-        # identical error from its own instance's evaluation.
-        energies = None
+    o = live(obs)
     out: List[Dict[Heuristic, ScheduleResult]] = []
-    cursor = 0
-    for i, plan in enumerate(plans):
-        k = len(plan.sweeps)
-        if energies is None:
+    with o.span("suite.batch", category="suite", instances=len(instances)):
+        plans: List[_SuitePlan] = []
+        for i, (graph, deadline) in enumerate(instances):
             try:
-                per_plan = [
-                    schedule_energy_sweep(ps.schedule, list(ps.points),
-                                          plan.deadline_seconds,
-                                          sleep=ps.sleep)
-                    for ps in plan.sweeps]
+                with o.span("suite.plan", category="suite",
+                            graph=graph.name, tasks=graph.n):
+                    plans.append(_plan_suite(
+                        graph, deadline, platform=platform, policy=policy,
+                        strict=strict, audit=audit, obs=obs, o=o))
             except BaseException as exc:
                 _annotate_instance_failure(exc, i, instances[i])
                 raise
-        else:
-            per_plan = energies[cursor:cursor + k]
-        cursor += k
-        out.append(_finish_suite(plan, per_plan, o))
+        if not plans:
+            return out
+
+        with o.span("suite.sweep", category="suite", instances=len(plans)):
+            try:
+                energies: Optional[List[List[EnergyBreakdown]]] = \
+                    sweep_energies(
+                        [ps for p in plans for ps in p.sweeps],
+                        [p.deadline_seconds for p in plans
+                         for _ in p.sweeps])
+            except ValueError:
+                # Exceptions must surface with per-instance attribution,
+                # so re-run the sweeps per instance below; the first
+                # offender re-raises the identical error from its own
+                # instance's evaluation.
+                energies = None
+
+        cursor = 0
+        for i, plan in enumerate(plans):
+            k = len(plan.sweeps)
+            try:
+                with o.span("suite.finish", category="suite",
+                            graph=plan.graph.name):
+                    if energies is None:
+                        per_plan = [
+                            schedule_energy_sweep(
+                                ps.schedule, list(ps.points),
+                                plan.deadline_seconds, sleep=ps.sleep)
+                            for ps in plan.sweeps]
+                    else:
+                        per_plan = energies[cursor:cursor + k]
+                        if plan.log is not None:
+                            _audit_rows(plan, per_plan)
+                    out.append(_finish_suite(plan, per_plan, o))
+            except BaseException as exc:
+                _annotate_instance_failure(exc, i, instances[i])
+                raise
+            cursor += k
     return out

@@ -15,7 +15,7 @@ makes repeated campaigns cheap without touching the numerics:
   ``multiprocessing.shared_memory`` segments (:mod:`repro.exec.shm`)
   instead of pickles.
 - :mod:`repro.exec.runner` — :func:`evaluate_suite_instances`, the
-  cache-aware :func:`repro.core.suite.paper_suite` fan-out the
+  cache-aware :func:`repro.core.suite.paper_suite_batch` fan-out the
   experiment modules call.
 
 Parallelism and caching are *bit-for-bit invisible* in the results:

@@ -6,14 +6,15 @@ modules and the :mod:`cache <repro.exec.cache>`/:mod:`pool
 over the pool, store fresh summaries, and hand back restored
 :class:`~repro.core.results.ScheduleResult` dicts in input order.
 
-Misses travel in contiguous *chunks* by default: each chunk is one
+Misses travel in contiguous *chunks*: each chunk is one
 :func:`repro.core.suite.paper_suite_batch` broadcast in the worker, and
 its summaries come back as a dense ``(chunk, 6, 16)`` float64 block —
 over :func:`repro.exec.pool.run_instances_shm` shared memory when
-parallel.  Strict and profile campaigns (and ``batch=False``) use the
-historical per-instance :func:`run_instances` path instead.  All modes
-— serial, batched, parallel, shm, warm cache — pass through the same
-summarize/restore round-trip and are byte-identical.
+parallel.  Strict and profile campaigns run the same chunks; their
+workers also return the chunk's audit counters and obs payload, so
+they travel over the pickle transport (:func:`run_instances`).  All
+modes — serial, parallel, shm, pickle, warm cache — pass through the
+same summarize/restore round-trip and are byte-identical.
 """
 
 from __future__ import annotations
@@ -63,21 +64,14 @@ class ExecOptions:
             logs are merged in, so a ``--jobs 8`` campaign yields one
             coherent multi-process trace.  Like ``strict``, profiling
             never changes the results or the cache bytes.
-        batch: evaluate cache misses in contiguous chunks through
-            :func:`repro.core.suite.paper_suite_batch` — one broadcast
-            ladder sweep per chunk instead of one
-            :func:`~repro.core.suite.paper_suite` call per instance.
-            Results (and cache bytes) are bitwise-identical either way;
-            strict and profile campaigns fall back to the per-instance
-            path automatically, because their per-instance audit
-            counters and span nesting only exist there.
         shm: with ``jobs > 1``, ship chunk results back through
             :func:`repro.exec.pool.run_instances_shm` shared-memory
             segments instead of the pickle result queue.  Transport
-            only — bytes are identical.  Ignored when serial or when
-            the per-instance path is in effect.
-        batch_chunk: instances per batched chunk (the unit of pool
-            dispatch and of one :class:`~repro.core.batch.ScheduleBatch`
+            only — bytes are identical.  Ignored when serial, and under
+            ``strict``/``profile``, whose chunk results carry audit
+            counters and obs payloads besides the array.
+        batch_chunk: instances per chunk (the unit of pool dispatch
+            and of one :class:`~repro.core.batch.ScheduleBatch`
             broadcast).
         cache_max_bytes: size bound of the on-disk cache; when set, the
             cache evicts least-recently-used entries (and sweeps
@@ -85,13 +79,11 @@ class ExecOptions:
             long-running-service mode.  ``None`` (the default) keeps
             the historical unbounded behaviour, byte-for-byte.
         live_obs: an externally-owned :class:`~repro.obs.ObsLog` (the
-            serve app's, typically retention-bounded) that evaluation
-            spans are recorded into *without* switching the execution
-            path: unlike ``profile`` — which forces the per-instance
-            path so suite-internal span nesting exists — ``live_obs``
-            leaves batching/shm exactly as configured and captures the
-            pool-level ``exec.chunk`` / ``exec.instance`` worker spans.
-            ``None`` (campaigns) records nothing extra.
+            serve app's, typically retention-bounded) that the
+            pool-level ``exec.chunk`` / ``exec.instance`` worker spans
+            are recorded into.  Unlike ``profile`` it records no
+            suite-internal spans and keeps the shm transport.  ``None``
+            (campaigns) records nothing extra.
     """
 
     jobs: int = 1
@@ -100,7 +92,6 @@ class ExecOptions:
     progress: Optional[object] = None
     strict: bool = False
     profile: bool = False
-    batch: bool = True
     shm: bool = True
     batch_chunk: int = 32
     cache_max_bytes: Optional[int] = None
@@ -158,43 +149,6 @@ class ExecOptions:
                 f"{total / len(times):.3f} s mean, {max(times):.3f} s max")
 
 
-def _suite_worker(
-        item: "Tuple[TaskGraph, float, Optional[Platform], str, bool, bool]",
-) -> object:
-    """Evaluate one instance; returns JSON-able summaries (picklable).
-
-    In strict and/or profile mode the return value is wrapped as
-    ``{"results": ..., "audit": counters, "obs": payload}`` (absent
-    keys omitted) so the runner can merge worker-side audit counters
-    and obs spans; the cacheable payload (the summaries) is identical
-    either way — neither mode may change what lands on disk.
-    """
-    from ..core.plans import PlanCache
-    from ..core.suite import paper_suite
-
-    graph, deadline, platform, policy, strict, profile = item
-    if not strict and not profile:
-        # Per-instance plan cache: dies with this call, so graphs and
-        # schedules are not pinned beyond the instance's evaluation.
-        return summarize_results(
-            paper_suite(graph, deadline, platform=platform, policy=policy,
-                        plans=PlanCache()))
-    log = AuditLog(strict=True) if strict else None
-    obs = ObsLog() if profile else None
-    summaries = summarize_results(
-        paper_suite(graph, deadline, platform=platform, policy=policy,
-                    audit=log, obs=obs))
-    wrapped = {"results": summaries}
-    if log is not None:
-        wrapped["audit"] = log.counters()
-    if obs is not None:
-        wrapped["obs"] = obs.to_dict()
-    return wrapped
-
-
-# ----------------------------------------------------------------------
-# Batched chunk evaluation
-# ----------------------------------------------------------------------
 #: Fixed row order of the (6, 16) per-instance summary array — the
 #: paper's presentation order, which is also the iteration order of
 #: :func:`~repro.exec.cache.summarize_results`.
@@ -244,8 +198,9 @@ def _decode_summaries(arr: "np.ndarray", graph_name: Optional[str]
     Rebuilds the exact :func:`~repro.exec.cache.summarize_results`
     dicts — including Python types: ``n_shutdowns`` and
     ``n_processors`` back to ``int``, ``meets_deadline`` back to
-    ``bool`` — so the JSON the cache writes is byte-identical to the
-    per-instance path's (``2`` and ``2.0`` are different JSON bytes).
+    ``bool`` — so the JSON the cache writes is byte-identical to that
+    of the summaries themselves (``2`` and ``2.0`` are different JSON
+    bytes).
     ``graph_name`` is reattached from the coordinator's own instance
     list; it never rides in the array.
     """
@@ -279,36 +234,46 @@ def _decode_summaries(arr: "np.ndarray", graph_name: Optional[str]
 
 
 def _suite_chunk_worker(
-        item: "Tuple[int, Tuple[Instance, ...], Optional[Platform], str]",
-) -> "np.ndarray":
+        item: "Tuple[int, Tuple[Instance, ...], Optional[Platform], str, "
+              "bool, bool]",
+) -> object:
     """Evaluate a contiguous chunk of instances in one batched sweep.
 
     Returns a ``(len(chunk), 6, 16)`` float64 array of encoded
-    summaries — an ndarray so the shm transport applies.  ``start`` is
-    the chunk's offset in the pending work list: a failing instance is
-    annotated chunk-locally by :func:`paper_suite_batch` and rebased
-    here to the global pending index, exactly what the per-instance
-    path would have reported.
+    summaries — an ndarray so the shm transport applies.  Under
+    ``strict`` and/or ``profile`` it returns ``(block, audit counters
+    or None, obs payload or None)`` instead, for the runner to merge;
+    the block is identical either way.  ``start`` is the chunk's offset
+    in the pending work list: a failing instance is annotated
+    chunk-locally by :func:`paper_suite_batch` and rebased here to its
+    global pending index.
     """
     from ..core.suite import paper_suite_batch
 
-    start, chunk, platform, policy = item
+    start, chunk, platform, policy, strict, profile = item
+    log = AuditLog(strict=True) if strict else None
+    obs = ObsLog() if profile else None
     try:
         results = paper_suite_batch(list(chunk), platform=platform,
-                                    policy=policy)
+                                    policy=policy, audit=log, obs=obs)
     except BaseException as exc:
         local = getattr(exc, "instance_index", None)
         if local is not None:
             exc.instance_index = start + local  # type: ignore[attr-defined]
         raise
-    if not results:
+    if results:
+        block = np.stack([_encode_summaries(summarize_results(r))
+                          for r in results])
+    else:
         # A zero-instance chunk (the server's empty-dispatch path, or a
         # fully-warm batch) must still round-trip the transport:
         # np.stack refuses an empty list, but a (0, 6, 16) block
         # publishes and takes fine.
-        return np.zeros((0, len(_ROW_ORDER), _N_COLS))
-    return np.stack([_encode_summaries(summarize_results(r))
-                     for r in results])
+        block = np.zeros((0, len(_ROW_ORDER), _N_COLS))
+    if log is None and obs is None:
+        return block
+    return (block, None if log is None else log.counters(),
+            None if obs is None else obs.to_dict())
 
 
 def evaluate_suite_instances(
@@ -352,9 +317,8 @@ def evaluate_suite_instances(
     cache = options.open_cache() if isinstance(policy, str) else None
     audit = options.open_audit()
     obs = options.open_obs()
-    # The profile log switches the execution path (per-instance, so
-    # suite-internal nesting exists); the serve app's live_obs must
-    # not — it only *receives* the spans the configured path records.
+    # The profile log also collects the workers' suite spans; the
+    # serve app's live_obs only receives the pool-level spans.
     pool_obs = obs if obs is not None else options.live_obs
     o = live(pool_obs)
 
@@ -379,49 +343,18 @@ def evaluate_suite_instances(
                     continue
             pending.append(i)
 
-    use_batch = options.batch and audit is None and obs is None
-    if not use_batch:
-        # Per-instance path: the default for strict/profile campaigns
-        # (their audit counters and span nesting are per-instance) and
-        # the --no-batch escape hatch.  Byte-identical to the batched
-        # path below.
-        work = [(instances[i][0], instances[i][1], platform, policy,
-                 audit is not None, obs is not None)
-                for i in pending]
-        tags: Optional[List[Optional[Dict[str, Any]]]] = None
-        if request_ids is not None:
-            tags = [{"request_ids": list(request_ids[i] or ())}
-                    if request_ids[i] else None for i in pending]
-        wrapped = audit is not None or obs is not None
-        for item in run_instances(_suite_worker, work, jobs=options.jobs,
-                                  progress=options.progress, obs=pool_obs,
-                                  tags=tags):
-            i = pending[item.index]
-            payload = item.value
-            if wrapped:
-                if audit is not None:
-                    audit.merge(payload["audit"])
-                if obs is not None and "obs" in payload:
-                    obs.merge_dict(payload["obs"])
-                payload = payload["results"]
-            options.instance_seconds.append(item.seconds)
-            if cache is not None:
-                cache.put(keys[i], payload)
-            results[i] = restore_results(payload)
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
-
-    # Batched path: contiguous chunks of pending instances, each
-    # evaluated by one paper_suite_batch broadcast in a worker, results
-    # shipped back as dense float64 blocks (shared memory when
-    # parallel) and decoded here into the exact summary payloads.
+    # Contiguous chunks of pending instances, each evaluated by one
+    # paper_suite_batch broadcast in a worker, results shipped back as
+    # dense float64 blocks (shared memory when parallel and the worker
+    # returns nothing else) and decoded here into the exact summary
+    # payloads.
     chunksize = max(1, options.batch_chunk)
     total = len(pending)
-    chunk_items: List[Tuple[int, Tuple[Instance, ...],
-                            Optional[Platform], str]] = [
+    wrapped = audit is not None or obs is not None
+    chunk_items = [
         (start,
          tuple(instances[i] for i in pending[start:start + chunksize]),
-         platform, policy)
+         platform, policy, audit is not None, obs is not None)
         for start in range(0, total, chunksize)
     ]
 
@@ -442,13 +375,20 @@ def evaluate_suite_instances(
                     rids.extend(request_ids[i])
             chunk_tags.append({"request_ids": rids} if rids else None)
 
-    fan_out = run_instances_shm if options.shm else run_instances
+    fan_out = run_instances_shm if options.shm and not wrapped \
+        else run_instances
     for item in fan_out(_suite_chunk_worker, chunk_items,
                         jobs=options.jobs, chunksize=1,
                         progress=chunk_progress, obs=pool_obs,
                         tags=chunk_tags):
         start = chunk_items[item.index][0]
         block = item.value
+        if wrapped:
+            block, counters, trace = block
+            if audit is not None:
+                audit.merge(counters)
+            if obs is not None:
+                obs.merge_dict(trace)
         k = block.shape[0]
         mean_seconds = item.seconds / k
         for local in range(k):

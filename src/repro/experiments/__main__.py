@@ -112,11 +112,6 @@ def main(argv: "list[str] | None" = None) -> int:
                              "least-recently-used entries are evicted "
                              "and orphaned temp files swept as it "
                              "grows (default: unbounded)")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="evaluate instances one at a time instead "
-                             "of in chunked broadcast sweeps (results "
-                             "are byte-identical either way; --strict "
-                             "and --profile imply this)")
     parser.add_argument("--no-shm", action="store_true",
                         help="ship worker results through the pickle "
                              "queue instead of shared-memory segments "
@@ -146,7 +141,6 @@ def main(argv: "list[str] | None" = None) -> int:
                                use_cache=not args.no_cache,
                                strict=args.strict,
                                profile=args.profile is not None,
-                               batch=not args.no_batch,
                                shm=not args.no_shm,
                                cache_max_bytes=args.cache_max_bytes)
     registry = _experiments(args.full, exec_options)

@@ -121,12 +121,12 @@ class ScheduleServer:
             self.obs, window_seconds=metrics_window_seconds)
         self.platform = platform or default_platform()
         # live_obs records the dispatch's pool/worker spans into the
-        # service log without switching the execution path the way
-        # profile mode would; it also wires the cache's latency
+        # service log without the suite spans or the pickle transport
+        # of profile mode; it also wires the cache's latency
         # histograms in via open_cache().
         self.options = ExecOptions(
             jobs=jobs, cache_dir=cache_dir,
-            use_cache=cache_dir is not None, batch=True, shm=shm,
+            use_cache=cache_dir is not None, shm=shm,
             batch_chunk=batch_chunk, cache_max_bytes=cache_max_bytes,
             live_obs=self.obs)
         self.cache = self.options.open_cache()

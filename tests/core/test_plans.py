@@ -92,10 +92,10 @@ class TestCacheOnOffIdentity:
     @settings(max_examples=15, deadline=None)
     def test_suite_results_identical(self, seed, n, factor):
         g, deadline = _instance(n, seed, factor)
-        shared = paper_suite(g, deadline, plans=PlanCache())
+        shared = paper_suite(g, deadline)
         with pytest.MonkeyPatch.context() as mp:
             _disable_reuse(mp)
-            uncached = paper_suite(g, deadline, plans=PlanCache())
+            uncached = paper_suite(g, deadline)
         assert_results_equal(shared, uncached)
 
     @given(st.integers(min_value=0, max_value=2_000))
@@ -108,7 +108,7 @@ class TestCacheOnOffIdentity:
 
     def test_strict_audit_results_identical_to_shared(self):
         g, deadline = _instance()
-        shared = paper_suite(g, deadline, plans=PlanCache())
+        shared = paper_suite(g, deadline)
         strict = paper_suite(g, deadline, strict=True)
         assert_results_equal(shared, strict)
 
@@ -121,8 +121,7 @@ class TestEndToEndBytes:
         from tests.exec.test_identity_regression import _report_sha
 
         _disable_reuse(monkeypatch)
-        sha = _report_sha(ExecOptions(jobs=1, batch=True,
-                                      use_cache=False))
+        sha = _report_sha(ExecOptions(jobs=1, use_cache=False))
         assert sha == GOLDEN_REPORT
 
     def test_cache_files_with_reuse_disabled(self, tmp_path, monkeypatch):
@@ -131,7 +130,7 @@ class TestEndToEndBytes:
 
         _disable_reuse(monkeypatch)
         fig10_11_relative_energy.run(
-            exec_options=ExecOptions(jobs=1, batch=True, use_cache=True,
+            exec_options=ExecOptions(jobs=1, use_cache=True,
                                      cache_dir=tmp_path / "c"),
             **_CAMPAIGN_KWARGS)
         h = hashlib.sha256()

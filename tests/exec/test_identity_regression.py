@@ -8,8 +8,8 @@ identical to what pre-batching revisions produced.  The golden digests
 below pin exactly that.
 
 If one of these tests fails after an *intentional* energy-model or
-search change, recompute the digests from the per-instance serial path
-(``ExecOptions(jobs=1, batch=False, use_cache=False)``) and bump
+search change, recompute the digests from the serial path
+(``ExecOptions(jobs=1, use_cache=False)``) and bump
 :data:`repro.exec.cache.CACHE_SCHEMA_VERSION`; if it fails after a
 performance or transport change, the change broke bit-exactness.
 """
@@ -58,11 +58,9 @@ def _cache_sha(cache_dir):
 
 class TestReportIdentity:
     @pytest.mark.parametrize("label,kwargs", [
-        ("per-instance serial", dict(jobs=1, batch=False)),
-        ("batched serial", dict(jobs=1, batch=True)),
-        ("batched parallel shm", dict(jobs=2, batch=True, shm=True)),
-        ("batched parallel pickle", dict(jobs=2, batch=True, shm=False)),
-        ("per-instance parallel", dict(jobs=2, batch=False)),
+        ("batched serial", dict(jobs=1)),
+        ("batched parallel shm", dict(jobs=2, shm=True)),
+        ("batched parallel pickle", dict(jobs=2, shm=False)),
     ])
     def test_report_matches_golden(self, label, kwargs):
         sha = _report_sha(ExecOptions(use_cache=False, **kwargs))
@@ -102,9 +100,8 @@ class TestCacheIdentity:
         assert CACHE_SCHEMA_VERSION == 2
 
     @pytest.mark.parametrize("label,kwargs", [
-        ("per-instance serial", dict(jobs=1, batch=False)),
-        ("batched serial", dict(jobs=1, batch=True)),
-        ("batched parallel shm", dict(jobs=2, batch=True, shm=True)),
+        ("batched serial", dict(jobs=1)),
+        ("batched parallel shm", dict(jobs=2, shm=True)),
     ])
     def test_cache_files_match_golden(self, tmp_path, label, kwargs):
         opts = ExecOptions(cache_dir=tmp_path / "c", **kwargs)
@@ -141,9 +138,9 @@ class TestFailureAttribution:
                     instances, options=ExecOptions(**kwargs))
             return excinfo.value
 
-        serial = fail(jobs=1, batch=False)
-        batched = fail(jobs=1, batch=True, batch_chunk=2)
-        parallel = fail(jobs=2, batch=True, shm=True, batch_chunk=2)
+        serial = fail(jobs=1, batch_chunk=1)
+        batched = fail(jobs=1, batch_chunk=2)
+        parallel = fail(jobs=2, shm=True, batch_chunk=2)
         assert str(serial) == str(batched) == str(parallel)
         assert batched.instance_index == 2
         assert parallel.instance_index == 2

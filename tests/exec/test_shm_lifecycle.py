@@ -197,7 +197,7 @@ class TestPoolTransport:
         of tripping ``np.stack`` on an empty list."""
         from repro.exec.runner import _suite_chunk_worker
 
-        arr = _suite_chunk_worker((0, (), None, "edf"))
+        arr = _suite_chunk_worker((0, (), None, "edf", False, False))
         assert arr.shape == (0, 6, 16)
         assert arr.dtype == np.float64
 

@@ -56,12 +56,13 @@ class TestSearchInstrumentation:
         log = ObsLog()
         paper_suite(g, deadline, obs=log)
         names = {s.name for s in log.spans}
-        assert {"suite.paper_suite", "suite.sns_family",
+        assert {"suite.batch", "suite.plan", "suite.sns_family",
                 "suite.lamps_phase1", "suite.lamps_phase2",
-                "suite.limits", "sched.list_schedule"} <= names
-        # All phase spans nest under the suite span.
+                "suite.sweep", "suite.finish", "suite.limits",
+                "sched.list_schedule"} <= names
+        # All phase spans nest under the chunk span.
         top = [s for s in log.spans if s.depth == 0]
-        assert [s.name for s in top] == ["suite.paper_suite"]
+        assert [s.name for s in top] == ["suite.batch"]
 
     def test_suite_counters_match_audit(self, instance):
         from repro.audit.report import AuditLog
@@ -141,7 +142,7 @@ class TestRunnerInstrumentation:
         log = options.open_obs()
         names = {s.name for s in log.spans}
         assert {"exec.cache_lookup", "exec.run_instances",
-                "suite.paper_suite"} <= names
+                "suite.batch", "suite.plan"} <= names
         timing = options.timing_summary()
         assert timing is not None and "1 fresh" in timing
 

@@ -24,10 +24,8 @@ runner noise.
 ``--campaign`` switches to the campaign-throughput benchmark behind
 ``BENCH_batch_baseline.json``: a fixed ~160-instance fig10-style
 instance set pushed through :func:`repro.exec.runner
-.evaluate_suite_instances` per-instance serially (``serial_s``, the
-"before" path), through the batched chunk evaluator (``batch_serial_s``)
-and through the batched evaluator with a 4-worker shared-memory pool
-(``batch_jobs4_shm_s``).
+.evaluate_suite_instances` in-process (``batch_serial_s``) and with a
+4-worker shared-memory pool (``batch_jobs4_shm_s``).
 
 ``--suite`` measures the plan-cache campaign path itself:
 :func:`repro.core.suite.paper_suite_batch` over the same 160 instances
@@ -132,15 +130,14 @@ def _campaign_instances() -> list:
 
 
 def measure_campaign(reps: int = 2) -> dict:
-    """Campaign throughput: per-instance serial vs batched vs parallel.
+    """Campaign throughput: serial vs parallel chunked evaluation.
 
-    ``serial_s`` exercises the historical per-instance path
-    (``batch=False``), the "before" of the batched-kernel work;
-    ``batch_serial_s`` the chunked broadcast evaluation in-process; and
-    ``batch_jobs4_shm_s`` the same chunks fanned over a 4-worker pool
-    with the shared-memory result transport.  All three produce
-    byte-identical results (tests/exec/test_identity_regression.py),
-    so this measures cost, not behaviour.
+    ``batch_serial_s`` times the chunked broadcast evaluation
+    in-process; ``batch_jobs4_shm_s`` the same chunks fanned over a
+    4-worker pool with the shared-memory result transport.  Both
+    produce byte-identical results
+    (tests/exec/test_identity_regression.py), so this measures cost,
+    not behaviour.
     """
     from repro.exec.runner import ExecOptions, evaluate_suite_instances
 
@@ -150,13 +147,11 @@ def measure_campaign(reps: int = 2) -> dict:
         evaluate_suite_instances(
             instances, options=ExecOptions(use_cache=False, **kwargs))
 
-    run(jobs=1, batch=True)  # warm every lazy import before timing
+    run(jobs=1)  # warm every lazy import before timing
     out = {"instances": len(instances)}
-    out["serial_s"] = _best_of(lambda: run(jobs=1, batch=False), reps)
-    out["batch_serial_s"] = _best_of(lambda: run(jobs=1, batch=True),
-                                     reps)
+    out["batch_serial_s"] = _best_of(lambda: run(jobs=1), reps)
     out["batch_jobs4_shm_s"] = _best_of(
-        lambda: run(jobs=4, batch=True, shm=True), reps)
+        lambda: run(jobs=4, shm=True), reps)
     return out
 
 
