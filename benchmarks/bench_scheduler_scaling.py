@@ -36,8 +36,8 @@ def test_paper_suite_runtime(benchmark, n):
 
 
 # ---------------------------------------------------------------------------
-# Array-native kernel micro-benchmarks (tools/perf_smoke.py measures the
-# same two paths for the committed BENCH_kernel_baseline.json).
+# Array-native kernel micro-benchmarks (perfbench/run.py times the same
+# layers end to end, as sched.list_schedule and core.batch.sweep).
 # ---------------------------------------------------------------------------
 
 def _kernel_instance(n):

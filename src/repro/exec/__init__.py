@@ -9,11 +9,7 @@ makes repeated campaigns cheap without touching the numerics:
   platform parameters, priority policy, schema version).
 - :mod:`repro.exec.pool` — :func:`run_instances`, a chunked
   ``ProcessPoolExecutor`` fan-out with per-instance timing, a progress
-  callback and an in-process fallback for ``jobs=1``; and
-  :func:`run_instances_shm`, the same protocol with worker results
-  returned through coordinator-reserved
-  ``multiprocessing.shared_memory`` segments (:mod:`repro.exec.shm`)
-  instead of pickles.
+  callback and an in-process fallback for ``jobs=1``.
 - :mod:`repro.exec.runner` — :func:`evaluate_suite_instances`, the
   cache-aware :func:`repro.core.suite.paper_suite_batch` fan-out the
   experiment modules call.
@@ -33,9 +29,8 @@ from .cache import (
     shard_lock,
     summarize_results,
 )
-from .pool import InstanceResult, run_instances, run_instances_shm
+from .pool import InstanceResult, run_instances
 from .runner import ExecOptions, evaluate_suite_instances
-from .shm import ShmHandle
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -48,8 +43,6 @@ __all__ = [
     "restore_results",
     "InstanceResult",
     "run_instances",
-    "run_instances_shm",
-    "ShmHandle",
     "ExecOptions",
     "evaluate_suite_instances",
 ]

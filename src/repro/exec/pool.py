@@ -36,12 +36,9 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..obs import ObsLog, live
-from .shm import publish_array, reserve_names, take_array, unlink_segment
 
-__all__ = ["InstanceResult", "run_instances", "run_instances_shm"]
+__all__ = ["InstanceResult", "run_instances"]
 
 ProgressCallback = Callable[[int, int], None]
 
@@ -246,124 +243,6 @@ def run_instances(
     return out  # type: ignore[return-value]
 
 
-def _run_chunk_shm(fn: Callable[[Any], Any], start: int,
-                   items: Sequence[Any], names: Sequence[str],
-                   profile: bool = False,
-                   tags: ItemTags = None) -> List[InstanceResult]:
-    """Worker-side body of the shm transport: publish, return handles.
-
-    ``fn`` must return an ndarray per item; each is published under the
-    coordinator-reserved segment name for its slot, so the coordinator
-    can sweep exactly these names whether or not this worker survives.
-    """
-    log = ObsLog() if profile else None
-    o = live(log)
-    out: List[InstanceResult] = []
-    with o.span("exec.chunk", category="exec",
-                start=start, size=len(items)):
-        for offset, item in enumerate(items):
-            t0 = time.perf_counter()
-            try:
-                with o.span("exec.instance", category="exec",
-                            **_instance_attrs(start + offset, tags,
-                                              offset)):
-                    value = fn(item)
-                handle = publish_array(np.ascontiguousarray(value),
-                                       name=names[offset])
-            except BaseException as exc:
-                _identify_failure(exc, start + offset, item)
-                raise
-            out.append(InstanceResult(start + offset, handle,
-                                      time.perf_counter() - t0))
-    if log is not None and out:
-        out[-1] = dataclasses.replace(out[-1], obs=log.to_dict())
-    return out
-
-
-def run_instances_shm(
-    fn: Callable[[Any], "np.ndarray"],
-    items: Sequence[Any],
-    *,
-    jobs: int = 1,
-    chunksize: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    obs: Optional[ObsLog] = None,
-    tags: ItemTags = None,
-) -> List[InstanceResult]:
-    """:func:`run_instances` for array-returning ``fn``, via shm blocks.
-
-    Workers publish each result ndarray into a shared-memory segment
-    and send back only the :class:`~repro.exec.shm.ShmHandle`; the
-    coordinator materializes every array (byte-exact — the round-trip
-    is a pair of memcpys, no pickle) and guarantees segment cleanup:
-    segment names are reserved up front and swept in a ``finally``, so
-    normal completion, a worker exception, and a killed worker all
-    leave ``/dev/shm`` empty.
-
-    With ``jobs=1`` there is no process boundary to cross, so ``fn``
-    runs in-process and its arrays are returned directly — the serial
-    path stays zero-overhead and trivially identical.
-
-    Returns:
-        One :class:`InstanceResult` per item in input order, ``value``
-        being the materialized ndarray.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    total = len(items)
-    if total == 0:
-        return []
-    _check_tags(tags, total)
-    if jobs == 1:
-        return run_instances(fn, items, jobs=1, progress=progress,
-                             obs=obs, tags=tags)
-    o = live(obs)
-
-    if chunksize is None:
-        chunksize = max(1, math.ceil(total / (jobs * 4)))
-    names = reserve_names(total)
-    chunks: List[Tuple[int, Sequence[Any]]] = [
-        (start, items[start:start + chunksize])
-        for start in range(0, total, chunksize)
-    ]
-
-    out: List[Optional[InstanceResult]] = [None] * total
-    profile = obs is not None
-    with o.span("exec.run_instances", category="exec",
-                jobs=jobs, items=total, chunks=len(chunks), shm=True):
-        try:
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(chunks))) as pool:
-                futures = {
-                    pool.submit(_run_chunk_shm, fn, start, chunk,
-                                names[start:start + len(chunk)],
-                                profile,
-                                tags[start:start + len(chunk)]
-                                if tags is not None else None): len(chunk)
-                    for start, chunk in chunks}
-                done = 0
-                try:
-                    for future in as_completed(futures):
-                        for result in future.result():
-                            if obs is not None and result.obs is not None:
-                                obs.merge_dict(result.obs)
-                            value = take_array(result.value)
-                            out[result.index] = dataclasses.replace(
-                                result, value=value, obs=None)
-                        done += futures[future]
-                        if progress is not None:
-                            progress(done, total)
-                except BaseException:
-                    for future in futures:
-                        future.cancel()
-                    raise
-        finally:
-            # The crash guarantee: whatever a worker published but the
-            # loop above never consumed — because that worker raised,
-            # was killed, or a sibling failed first — is removed here.
-            for name in names:
-                unlink_segment(name)
-    o.count("exec.instances_run", total)
-    o.count("exec.chunks_run", len(chunks))
-    assert all(r is not None for r in out)
-    return out  # type: ignore[return-value]
+# perfbench/tracing.py still names this function as a trace target;
+# the alias keeps ``--trace 1`` working until the benchmark drops it.
+run_instances_shm = run_instances

@@ -6,15 +6,14 @@ modules and the :mod:`cache <repro.exec.cache>`/:mod:`pool
 over the pool, store fresh summaries, and hand back restored
 :class:`~repro.core.results.ScheduleResult` dicts in input order.
 
-Misses travel in contiguous *chunks*: each chunk is one
+Misses travel in contiguous *chunks* through
+:func:`repro.exec.pool.run_instances`: each chunk is one
 :func:`repro.core.suite.paper_suite_batch` broadcast in the worker, and
-its summaries come back as a dense ``(chunk, 6, 16)`` float64 block —
-over :func:`repro.exec.pool.run_instances_shm` shared memory when
-parallel.  Strict and profile campaigns run the same chunks; their
-workers also return the chunk's audit counters and obs payload, so
-they travel over the pickle transport (:func:`run_instances`).  All
-modes — serial, parallel, shm, pickle, warm cache — pass through the
-same summarize/restore round-trip and are byte-identical.
+its summaries come back as a dense ``(chunk, 6, 16)`` float64 block.
+Strict and profile campaigns run the same chunks; their workers also
+return the chunk's audit counters and obs payload.  All modes —
+serial, parallel, strict, profiled, warm cache — pass through the same
+summarize/restore round-trip and are byte-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from ..graphs.dag import TaskGraph
 from ..obs import ObsLog, live
 from .cache import ResultCache, instance_digest, restore_results, \
     summarize_results
-from .pool import run_instances, run_instances_shm
+from .pool import run_instances
 
 __all__ = ["ExecOptions", "evaluate_suite_instances"]
 
@@ -64,12 +63,6 @@ class ExecOptions:
             logs are merged in, so a ``--jobs 8`` campaign yields one
             coherent multi-process trace.  Like ``strict``, profiling
             never changes the results or the cache bytes.
-        shm: with ``jobs > 1``, ship chunk results back through
-            :func:`repro.exec.pool.run_instances_shm` shared-memory
-            segments instead of the pickle result queue.  Transport
-            only — bytes are identical.  Ignored when serial, and under
-            ``strict``/``profile``, whose chunk results carry audit
-            counters and obs payloads besides the array.
         batch_chunk: instances per chunk (the unit of pool dispatch
             and of one :class:`~repro.core.batch.ScheduleBatch`
             broadcast).
@@ -82,8 +75,8 @@ class ExecOptions:
             serve app's, typically retention-bounded) that the
             pool-level ``exec.chunk`` / ``exec.instance`` worker spans
             are recorded into.  Unlike ``profile`` it records no
-            suite-internal spans and keeps the shm transport.  ``None``
-            (campaigns) records nothing extra.
+            suite-internal spans.  ``None`` (campaigns) records nothing
+            extra.
     """
 
     jobs: int = 1
@@ -92,7 +85,6 @@ class ExecOptions:
     progress: Optional[object] = None
     strict: bool = False
     profile: bool = False
-    shm: bool = True
     batch_chunk: int = 32
     cache_max_bytes: Optional[int] = None
     live_obs: Optional[ObsLog] = field(
@@ -163,9 +155,9 @@ _N_COLS = 16
 def _encode_summaries(summaries: List[dict]) -> "np.ndarray":
     """One instance's summary dicts as a dense (6, 16) float64 array.
 
-    The array transport (:func:`repro.exec.pool.run_instances_shm`)
-    carries homogeneous float64 blocks; this packs the exact
-    :func:`~repro.exec.cache.summarize_results` payload into one.  Every
+    A chunk's summaries cross the pool as one homogeneous float64
+    block; this packs the exact
+    :func:`~repro.exec.cache.summarize_results` payload into it.  Every
     value survives bit-exactly: the floats are float64 already, and the
     integer/boolean fields (shutdown counts, processor counts, the
     feasibility flag) are far below 2**53.
@@ -240,7 +232,7 @@ def _suite_chunk_worker(
     """Evaluate a contiguous chunk of instances in one batched sweep.
 
     Returns a ``(len(chunk), 6, 16)`` float64 array of encoded
-    summaries — an ndarray so the shm transport applies.  Under
+    summaries — one compact pickle per chunk.  Under
     ``strict`` and/or ``profile`` it returns ``(block, audit counters
     or None, obs payload or None)`` instead, for the runner to merge;
     the block is identical either way.  ``start`` is the chunk's offset
@@ -266,9 +258,8 @@ def _suite_chunk_worker(
                           for r in results])
     else:
         # A zero-instance chunk (the server's empty-dispatch path, or a
-        # fully-warm batch) must still round-trip the transport:
-        # np.stack refuses an empty list, but a (0, 6, 16) block
-        # publishes and takes fine.
+        # fully-warm batch) must still round-trip the transport, and
+        # np.stack refuses an empty list.
         block = np.zeros((0, len(_ROW_ORDER), _N_COLS))
     if log is None and obs is None:
         return block
@@ -345,8 +336,7 @@ def evaluate_suite_instances(
 
     # Contiguous chunks of pending instances, each evaluated by one
     # paper_suite_batch broadcast in a worker, results shipped back as
-    # dense float64 blocks (shared memory when parallel and the worker
-    # returns nothing else) and decoded here into the exact summary
+    # dense float64 blocks and decoded here into the exact summary
     # payloads.
     chunksize = max(1, options.batch_chunk)
     total = len(pending)
@@ -375,12 +365,10 @@ def evaluate_suite_instances(
                     rids.extend(request_ids[i])
             chunk_tags.append({"request_ids": rids} if rids else None)
 
-    fan_out = run_instances_shm if options.shm and not wrapped \
-        else run_instances
-    for item in fan_out(_suite_chunk_worker, chunk_items,
-                        jobs=options.jobs, chunksize=1,
-                        progress=chunk_progress, obs=pool_obs,
-                        tags=chunk_tags):
+    for item in run_instances(_suite_chunk_worker, chunk_items,
+                              jobs=options.jobs, chunksize=1,
+                              progress=chunk_progress, obs=pool_obs,
+                              tags=chunk_tags):
         start = chunk_items[item.index][0]
         block = item.value
         if wrapped:

@@ -112,10 +112,6 @@ def main(argv: "list[str] | None" = None) -> int:
                              "least-recently-used entries are evicted "
                              "and orphaned temp files swept as it "
                              "grows (default: unbounded)")
-    parser.add_argument("--no-shm", action="store_true",
-                        help="ship worker results through the pickle "
-                             "queue instead of shared-memory segments "
-                             "(transport only; relevant with --jobs>1)")
     parser.add_argument("--strict", action="store_true",
                         help="run the repro.audit invariant checks on "
                              "every fresh instance (identical results, "
@@ -141,7 +137,6 @@ def main(argv: "list[str] | None" = None) -> int:
                                use_cache=not args.no_cache,
                                strict=args.strict,
                                profile=args.profile is not None,
-                               shm=not args.no_shm,
                                cache_max_bytes=args.cache_max_bytes)
     registry = _experiments(args.full, exec_options)
     chosen = args.experiments or list(registry)

@@ -223,7 +223,7 @@ class TaskGraph:
 
         ``flat[offsets[v]:offsets[v + 1]]`` are node ``v``'s successor
         indices in ascending order; both arrays are ``intp`` and frozen.
-        The array-kernel scheduler (:mod:`repro.sched.jit`) iterates
+        The C scheduler kernel (:mod:`repro.sched.ckernel`) iterates
         this instead of the tuple-of-tuples :attr:`succ_indices`.
         """
         if self._succ_csr is None:

@@ -5,7 +5,6 @@ deadline assignment, schedule structures, and validation.
 from .deadlines import InfeasibleDeadlineError, task_deadlines
 from .gantt import render_gantt
 from .insertion import insertion_schedule
-from .jit import HAVE_NUMBA, JIT_ACTIVE
 from .list_scheduler import list_schedule
 from .priorities import PRIORITY_POLICIES, PriorityPolicy, priority_keys
 from .schedule import Placement, Schedule
@@ -16,8 +15,6 @@ __all__ = [
     "Schedule",
     "list_schedule",
     "insertion_schedule",
-    "HAVE_NUMBA",
-    "JIT_ACTIVE",
     "render_gantt",
     "task_deadlines",
     "InfeasibleDeadlineError",

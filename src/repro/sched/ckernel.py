@@ -1,25 +1,21 @@
 """Optional C accelerator for the list-scheduler event loop.
 
-:mod:`repro.sched.jit` re-expresses the ``heapq`` event loop of
-:mod:`repro.sched.list_scheduler` over flat arrays so numba can compile
-it.  This module carries the same kernel one step further for
-environments *without* numba (the common case for the bundled
-toolchain): the identical array kernel, written in ~100 lines of C,
-compiled on first use with the system C compiler and loaded through
-:mod:`ctypes`.  No third-party package is required — when no compiler
-is available (or compilation, loading, or the import-time self-test
-fails for any reason) the module degrades silently and the scheduler
-keeps its pure-Python loop.
+The reference event loop, :func:`repro.sched.eventloop.heapq_schedule`,
+runs on Python lists and ``heapq``.  This module replays the same loop
+over flat arrays — three array-backed binary min-heaps and a CSR
+successor walk — in ~100 lines of C, compiled on first use with the
+system C compiler and loaded through :mod:`ctypes`.  No third-party
+package is required: when no compiler is available (or compilation,
+loading, or the import-time self-test fails for any reason) the module
+degrades silently and the scheduler keeps the ``heapq`` loop.
 
-Determinism: the kernel is a line-for-line port of
-``repro.sched.jit._schedule_arrays`` — the same three strictly totally
-ordered binary min-heaps, the same lexicographic ``(a, b, c)``
-comparisons on exact float64 values, and the only floating-point
-arithmetic is the same ``finish = time + w[v]`` IEEE-754 double
-addition.  Pop sequences of a correct min-heap over strictly ordered
-entries are unique, so the C kernel's output arrays are *identical* to
-the ``heapq`` path's (asserted by an import-time self-test here and by
-the differential suite in ``tests/sched/test_ckernel.py``).  The
+Determinism: every heap holds strictly totally ordered entries, so the
+pop sequence of any correct min-heap is unique; the C heaps compare
+``(a, b, c)`` lexicographically on exact float64 values, and the only
+floating-point arithmetic is the same ``finish = time + w[v]`` IEEE-754
+double addition.  The kernel's output arrays are therefore *identical*
+to the ``heapq`` loop's (asserted by an import-time self-test here and
+by the differential suite in ``tests/sched/test_ckernel.py``).  The
 ``REPRO_NO_CKERNEL`` gate therefore selects between bitwise-identical
 backends and can never change results, reports, or cache bytes.
 
@@ -40,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .jit import schedule_kernel_python
+from .eventloop import heapq_schedule
 
 __all__ = ["CKERNEL_ACTIVE", "schedule_kernel_c"]
 
@@ -106,7 +102,7 @@ static void pop3(double *ha, i64 *hb, i64 *hc, i64 *size,
     }
 }
 
-/* The event loop of repro.sched.jit._schedule_arrays, verbatim. */
+/* The event loop of repro.sched.eventloop.heapq_schedule over array heaps. */
 int repro_list_schedule(i64 n, i64 n_processors,
                         const double *keys, const double *w,
                         const i64 *succ_flat, const i64 *succ_offsets,
@@ -210,7 +206,7 @@ def _compile_cached() -> Optional[str]:
 
 
 def _self_test(fn) -> bool:
-    """Differentially test the loaded kernel against the Python one.
+    """Differentially test the loaded kernel against the ``heapq`` loop.
 
     A fork–join graph on two processors exercises every code path:
     ready-queue ties, a stall (three ready tasks, two processors), the
@@ -221,8 +217,10 @@ def _self_test(fn) -> bool:
     succ_flat = np.array([1, 2, 3, 4, 4, 4], dtype=np.intp)
     succ_offsets = np.array([0, 3, 4, 5, 6, 6], dtype=np.intp)
     in_degrees = np.array([0, 1, 1, 1, 3], dtype=np.intp)
-    want = schedule_kernel_python(keys, w, succ_flat, succ_offsets,
-                                  in_degrees.copy(), 2)
+    succs = [succ_flat[succ_offsets[v]:succ_offsets[v + 1]].tolist()
+             for v in range(len(keys))]
+    want = heapq_schedule(keys.tolist(), w.tolist(), succs,
+                          in_degrees.tolist(), 2)
     got = fn(keys, w, succ_flat, succ_offsets, in_degrees, 2)
     return all(np.array_equal(a, b) for a, b in zip(want, got))
 
@@ -273,8 +271,9 @@ def schedule_kernel_c(keys: np.ndarray, w: np.ndarray,
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the C array kernel; only callable when :data:`CKERNEL_ACTIVE`.
 
-    Same signature and same bitwise-identical ``(start, finish,
-    processor)`` arrays as :func:`repro.sched.jit.schedule_kernel`.
+    Returns the same ``(start, finish, processor)`` arrays, bit for
+    bit, as :func:`repro.sched.eventloop.heapq_schedule` on the same
+    inputs.
     """
     if _kernel is None:  # pragma: no cover - guarded by callers
         raise RuntimeError("C scheduler kernel is not available")

@@ -8,22 +8,23 @@ dense node index; lowest-numbered free processor first), so schedules
 are reproducible and "employed processors" is meaningful — tasks pack
 onto low-numbered processors instead of spreading across all of them.
 
-The hot loop uses flat arrays and ``heapq`` — no per-event object churn —
-so scheduling a 5000-task graph onto hundreds of processors stays in the
-tens of milliseconds.
+The event loop itself has one reference implementation,
+:func:`repro.sched.eventloop.heapq_schedule` (flat lists and ``heapq``),
+and one fast path, the ctypes C kernel in :mod:`repro.sched.ckernel`,
+used whenever it compiled and passed its import-time self-test.  Both
+return identical arrays.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from ..graphs.dag import TaskGraph
 from ..obs import ObsLog, live
 from .ckernel import CKERNEL_ACTIVE, schedule_kernel_c
-from .jit import JIT_ACTIVE, schedule_kernel
+from .eventloop import heapq_schedule
 from .priorities import PriorityPolicy, priority_keys
 from .schedule import Schedule
 
@@ -67,68 +68,19 @@ def _list_schedule(graph: TaskGraph, n_processors: int,
                    deadlines: Optional[np.ndarray],
                    policy: Union[str, PriorityPolicy]) -> Schedule:
     """The uninstrumented scheduler body — see :func:`list_schedule`."""
-    n = graph.n
     if deadlines is None:
-        deadlines = np.zeros(n)
-    if JIT_ACTIVE or CKERNEL_ACTIVE:
-        # A compiled array kernel replays this exact event loop over
-        # flat heaps (numba: repro.sched.jit; ctypes C:
-        # repro.sched.ckernel); its pop order — and hence every array
-        # it returns — is identical to the heapq path's.
-        kernel = schedule_kernel if JIT_ACTIVE else schedule_kernel_c
-        key_arr = priority_keys(graph, deadlines, policy)
+        deadlines = np.zeros(graph.n)
+    keys = priority_keys(graph, deadlines, policy)
+    if CKERNEL_ACTIVE:
+        # The C kernel replays heapq_schedule's event loop over flat
+        # array heaps; its pop order — and hence every array it
+        # returns — is identical.
         succ_flat, succ_offsets = graph.succ_csr
-        starts_a, finishes_a, procs_a = kernel(
-            key_arr, graph.weights_array, succ_flat, succ_offsets,
+        arrays = schedule_kernel_c(
+            keys, graph.weights_array, succ_flat, succ_offsets,
             np.asarray(graph.in_degrees, dtype=np.intp), n_processors)
-        return Schedule.from_arrays(graph, n_processors,
-                                    starts_a, finishes_a, procs_a)
-    # The event loop runs on plain Python scalars and lists: elementwise
-    # numpy indexing and per-event helper calls dominated its profile.
-    keys = priority_keys(graph, deadlines, policy).tolist()
-    w = graph.weights_list
-    succs = graph.succ_indices
-    n_pending = list(graph.in_degrees)
-
-    ready: List[tuple] = [(keys[v], v) for v in range(n) if not n_pending[v]]
-    heapq.heapify(ready)
-    # (finish_time, task, proc); tie-handling drains equal timestamps.
-    running: List[tuple] = []
-    free_procs = list(range(n_processors))  # min-heap: lowest id first
-    heapq.heapify(free_procs)
-
-    starts = [0.0] * n
-    finishes = [0.0] * n
-    procs = [0] * n
-    heappush, heappop = heapq.heappush, heapq.heappop
-    time = 0.0
-    scheduled = 0
-    while scheduled < n:
-        while ready and free_procs:
-            _, v = heappop(ready)
-            p = heappop(free_procs)
-            starts[v] = time
-            finish = time + w[v]
-            finishes[v] = finish
-            procs[v] = p
-            heappush(running, (finish, v, p))
-            scheduled += 1
-        if not running:
-            break  # all remaining tasks were sources already dispatched
-        # Advance to the next completion and drain everything that
-        # completes at that same instant, so simultaneous releases
-        # compete on priority rather than pop order.
-        time, v, p = heappop(running)
-        while True:
-            heappush(free_procs, p)
-            for s in succs[v]:
-                n_pending[s] -= 1
-                if not n_pending[s]:
-                    heappush(ready, (keys[s], s))
-            if not (running and running[0][0] <= time):
-                break
-            _, v, p = heappop(running)
-
-    return Schedule.from_arrays(graph, n_processors,
-                                np.array(starts), np.array(finishes),
-                                np.array(procs, dtype=np.intp))
+    else:
+        arrays = heapq_schedule(keys.tolist(), graph.weights_list,
+                                graph.succ_indices, graph.in_degrees,
+                                n_processors)
+    return Schedule.from_arrays(graph, n_processors, *arrays)

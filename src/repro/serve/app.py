@@ -87,8 +87,8 @@ class ScheduleServer:
             as traffic grows the tree past the budget.
         jobs: worker processes per dispatch (1 = compute on the
             dispatch thread, in-process).
-        batch_chunk / shm: forwarded to :class:`ExecOptions` — the
-            campaign engine's batching and transport knobs.
+        batch_chunk: forwarded to :class:`ExecOptions` — the
+            campaign engine's instances per pool chunk.
         max_batch: most instances coalesced into one dispatch.
         window_seconds: linger before dispatching, letting a burst
             coalesce.
@@ -108,7 +108,7 @@ class ScheduleServer:
 
     def __init__(self, *, cache_dir: Optional[str] = None,
                  cache_max_bytes: Optional[int] = None,
-                 jobs: int = 1, batch_chunk: int = 32, shm: bool = True,
+                 jobs: int = 1, batch_chunk: int = 32,
                  max_batch: int = 32, window_seconds: float = 0.002,
                  max_pending: int = 64,
                  platform: Optional[Platform] = None,
@@ -121,12 +121,11 @@ class ScheduleServer:
             self.obs, window_seconds=metrics_window_seconds)
         self.platform = platform or default_platform()
         # live_obs records the dispatch's pool/worker spans into the
-        # service log without the suite spans or the pickle transport
-        # of profile mode; it also wires the cache's latency
-        # histograms in via open_cache().
+        # service log without the suite spans of profile mode; it also
+        # wires the cache's latency histograms in via open_cache().
         self.options = ExecOptions(
             jobs=jobs, cache_dir=cache_dir,
-            use_cache=cache_dir is not None, shm=shm,
+            use_cache=cache_dir is not None,
             batch_chunk=batch_chunk, cache_max_bytes=cache_max_bytes,
             live_obs=self.obs)
         self.cache = self.options.open_cache()

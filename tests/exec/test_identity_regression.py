@@ -1,9 +1,9 @@
 """End-to-end byte-identity pins across every execution configuration.
 
-The acceptance bar for the batched/shm/JIT work is that *no* execution
-knob may change a single byte of what a campaign produces: the report
-JSON and the cache files must be SHA-256-identical across serial,
-batched, parallel, shared-memory, JIT and forced-fallback runs — and
+The acceptance bar for the batched and compiled-kernel work is that
+*no* execution knob may change a single byte of what a campaign
+produces: the report JSON and the cache files must be SHA-256-identical
+across serial, parallel, C-kernel and ``heapq``-loop runs — and
 identical to what pre-batching revisions produced.  The golden digests
 below pin exactly that.
 
@@ -59,34 +59,34 @@ def _cache_sha(cache_dir):
 class TestReportIdentity:
     @pytest.mark.parametrize("label,kwargs", [
         ("batched serial", dict(jobs=1)),
-        ("batched parallel shm", dict(jobs=2, shm=True)),
-        ("batched parallel pickle", dict(jobs=2, shm=False)),
+        ("batched parallel pickle", dict(jobs=2)),
     ])
     def test_report_matches_golden(self, label, kwargs):
         sha = _report_sha(ExecOptions(use_cache=False, **kwargs))
         assert sha == GOLDEN_REPORT, f"{label} diverged from the pin"
 
-    def test_report_identical_without_numba(self):
-        """The kernel-vs-fallback gate may not leak into results.
+    def test_report_identical_on_heapq_path(self):
+        """The C-kernel gate may not leak into results.
 
-        Runs the campaign in a subprocess with ``REPRO_NO_NUMBA=1`` —
+        Runs the campaign in a subprocess with ``REPRO_NO_CKERNEL=1`` —
         the gate is read at import time, so an env toggle needs a fresh
-        interpreter.  With numba absent this exercises flag handling;
-        with numba present it pins the compiled kernel's output to the
-        interpreted loop's.
+        interpreter — which pins the ``heapq`` reference loop's report
+        to the same golden digest as the default (C kernel) path.
         """
         code = (
             "import hashlib\n"
             "from repro.exec import ExecOptions\n"
             "from repro.experiments import fig10_11_relative_energy\n"
             "from repro.experiments.registry import COARSE\n"
+            "from repro.sched.ckernel import CKERNEL_ACTIVE\n"
+            "assert not CKERNEL_ACTIVE\n"
             "report = fig10_11_relative_energy.run(\n"
             "    scenario=COARSE, graphs_per_group=2, sizes=(50,),\n"
             "    deadline_factors=(1.5, 2.0), include_applications=False,\n"
             "    exec_options=ExecOptions(jobs=1, use_cache=False))\n"
             "print(hashlib.sha256(report.to_json().encode()).hexdigest())\n"
         )
-        env = dict(os.environ, REPRO_NO_NUMBA="1")
+        env = dict(os.environ, REPRO_NO_CKERNEL="1")
         src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -101,7 +101,7 @@ class TestCacheIdentity:
 
     @pytest.mark.parametrize("label,kwargs", [
         ("batched serial", dict(jobs=1)),
-        ("batched parallel shm", dict(jobs=2, shm=True)),
+        ("batched parallel", dict(jobs=2)),
     ])
     def test_cache_files_match_golden(self, tmp_path, label, kwargs):
         opts = ExecOptions(cache_dir=tmp_path / "c", **kwargs)
@@ -140,7 +140,7 @@ class TestFailureAttribution:
 
         serial = fail(jobs=1, batch_chunk=1)
         batched = fail(jobs=1, batch_chunk=2)
-        parallel = fail(jobs=2, shm=True, batch_chunk=2)
+        parallel = fail(jobs=2, batch_chunk=2)
         assert str(serial) == str(batched) == str(parallel)
         assert batched.instance_index == 2
         assert parallel.instance_index == 2

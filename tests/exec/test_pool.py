@@ -1,7 +1,13 @@
 """Unit tests for the chunked process-pool fan-out."""
 
+import multiprocessing
+import os
+import signal
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from repro.exec.pool import InstanceResult, run_instances
@@ -15,6 +21,21 @@ def _square(x):
 def _boom_on_three(x):
     if x == 3:
         raise ValueError("instance 3 is cursed")
+    return x
+
+
+def _kill_on_two(x):
+    if x == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+
+def _annotated_boom_on_five(x):
+    """A chunk-style worker: names a finer instance than its item."""
+    if x == 5:
+        exc = ValueError("sub-instance failed")
+        exc.instance_index = 50
+        raise exc
     return x
 
 
@@ -64,6 +85,18 @@ class TestParallel:
         with pytest.raises(ValueError, match="cursed"):
             run_instances(_boom_on_three, list(range(8)), jobs=2,
                           chunksize=1)
+
+    def test_worker_kill_breaks_the_pool_without_hanging(self):
+        """A SIGKILLed worker surfaces as BrokenProcessPool within a
+        timeout, and the pool leaves no live child process behind."""
+        before = set(multiprocessing.active_children())
+        with ThreadPoolExecutor(max_workers=1) as runner:
+            future = runner.submit(run_instances, _kill_on_two,
+                                   list(range(8)), jobs=2, chunksize=2)
+            with pytest.raises(BrokenProcessPool):
+                future.result(timeout=120)
+        leftover = set(multiprocessing.active_children()) - before
+        assert not leftover, leftover
 
     def test_progress_monotonic_and_complete(self):
         calls = []
@@ -119,6 +152,24 @@ class TestFailureIdentification:
         notes = getattr(excinfo.value, "__notes__", [])
         assert any("instance 2: 3" in n for n in notes)
 
+    def test_existing_annotation_not_overwritten(self):
+        """_identify_failure must respect worker-side attribution."""
+        from repro.exec.pool import _identify_failure
+
+        exc = RuntimeError("x")
+        exc.instance_index = 41
+        exc.instance_repr = "fine-grained"
+        _identify_failure(exc, 7, "chunk-level item")
+        assert exc.instance_index == 41
+        assert exc.instance_repr == "fine-grained"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_annotation_survives_the_pool(self, jobs):
+        with pytest.raises(ValueError, match="sub-instance") as excinfo:
+            run_instances(_annotated_boom_on_five, list(range(8)),
+                          jobs=jobs, chunksize=2)
+        assert excinfo.value.instance_index == 50
+
     def test_truncation_and_broken_repr(self):
         from repro.exec.pool import _identify_failure
 
@@ -131,3 +182,17 @@ class TestFailureIdentification:
         _identify_failure(exc2, 0, _Unreprable())
         assert exc2.instance_repr == "<unreprable _Unreprable>"
         assert exc2.instance_index == 0
+
+
+class TestSuiteChunkWorker:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_empty_chunk_round_trips_as_empty_block(self, jobs):
+        """A zero-instance chunk encodes to a (0, 6, 16) block instead
+        of tripping ``np.stack`` on an empty list, and crosses the pool
+        intact."""
+        from repro.exec.runner import _suite_chunk_worker
+
+        item = (0, (), None, "edf", False, False)
+        [result] = run_instances(_suite_chunk_worker, [item], jobs=jobs)
+        assert result.value.shape == (0, 6, 16)
+        assert result.value.dtype == np.float64

@@ -95,6 +95,18 @@ class TestQueries:
         for v in diamond.node_ids:
             assert w[diamond.index_of(v)] == diamond.weight(v)
 
+    def test_succ_csr_matches_succ_indices(self):
+        from repro.graphs.generators import stg_random_graph
+
+        g = stg_random_graph(40, 9)
+        flat, offsets = g.succ_csr
+        assert offsets[0] == 0 and offsets[-1] == flat.size
+        for v in range(g.n):
+            assert tuple(flat[offsets[v]:offsets[v + 1]]) == \
+                g.succ_indices[v]
+        with pytest.raises(ValueError):
+            flat[...] = 0
+
     def test_weights_array_readonly(self, diamond):
         with pytest.raises(ValueError):
             diamond.weights_array[0] = 99.0

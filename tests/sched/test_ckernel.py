@@ -1,10 +1,10 @@
-"""Differential tests: the ctypes C kernel vs the Python kernels.
+"""Differential tests: the ctypes C kernel vs the ``heapq`` loop.
 
-:mod:`repro.sched.ckernel` claims its compiled event loop is a
-line-for-line port of ``repro.sched.jit._schedule_arrays`` — the same
-three strictly totally ordered min-heaps, the same lexicographic
-comparisons on exact float64 values, and the only floating-point
-arithmetic is the same ``finish = time + w[v]`` IEEE-754 addition.
+:mod:`repro.sched.ckernel` claims its compiled event loop replays
+:func:`repro.sched.eventloop.heapq_schedule` over strictly totally
+ordered array heaps — any correct min-heap pops the same sequence — and
+that the only floating-point arithmetic is the same
+``finish = time + w[v]`` IEEE-754 addition.
 That claim is what lets ``list_schedule`` dispatch to the C backend
 without perturbing a single golden SHA, so it is asserted here with
 array equality (``==``, not tolerance) over drawn graphs, policies and
@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 
 from repro.graphs.analysis import critical_path_length
 from repro.graphs.generators import stg_random_graph
-from repro.sched import ckernel, jit
+from repro.sched import ckernel
 from repro.sched.deadlines import task_deadlines
+from repro.sched.eventloop import heapq_schedule
 from repro.sched.list_scheduler import list_schedule
 from repro.sched.priorities import priority_keys
 
@@ -40,6 +41,12 @@ def _kernel_inputs(graph, deadlines, policy="edf"):
     w = np.ascontiguousarray(graph.weights_array, dtype=np.float64)
     deg = np.asarray(graph.in_degrees, dtype=np.intp)
     return keys, w, succ_flat, succ_offsets, deg
+
+
+def _heapq_arrays(graph, n_procs, deadlines, policy="edf"):
+    return heapq_schedule(priority_keys(graph, deadlines, policy).tolist(),
+                          graph.weights_list, graph.succ_indices,
+                          graph.in_degrees, n_procs)
 
 
 @st.composite
@@ -62,8 +69,7 @@ class TestCKernelMatchesPython:
         keys, w, flat, offs, deg = _kernel_inputs(g, d)
         cs, cf, cp = ckernel.schedule_kernel_c(
             keys, w, flat, offs, deg, n_procs)
-        ps, pf, pp = jit.schedule_kernel_python(
-            keys, w, flat, offs, deg.copy(), n_procs)
+        ps, pf, pp = _heapq_arrays(g, n_procs, d)
         assert np.array_equal(cs, ps)
         assert np.array_equal(cf, pf)
         assert np.array_equal(cp, pp)
@@ -75,15 +81,14 @@ class TestCKernelMatchesPython:
         keys, w, flat, offs, deg = _kernel_inputs(g, d, policy)
         cs, cf, cp = ckernel.schedule_kernel_c(
             keys, w, flat, offs, deg, n_procs)
-        ps, pf, pp = jit.schedule_kernel_python(
-            keys, w, flat, offs, deg.copy(), n_procs)
+        ps, pf, pp = _heapq_arrays(g, n_procs, d, policy)
         assert np.array_equal(cs, ps)
         assert np.array_equal(cf, pf)
         assert np.array_equal(cp, pp)
 
     def test_does_not_mutate_inputs(self):
         """The C signature takes const inputs; in_degrees especially
-        must survive (the Python kernel consumes its copy)."""
+        must survive (the kernel decrements its own copy)."""
         g = stg_random_graph(30, 5).scaled(3.1e6)
         d = task_deadlines(g, 2.0 * critical_path_length(g))
         keys, w, flat, offs, deg = _kernel_inputs(g, d)
@@ -101,7 +106,6 @@ class TestListScheduleDispatch:
         d = task_deadlines(g, 2.0 * critical_path_length(g))
         import repro.sched.list_scheduler as ls
 
-        monkeypatch.setattr(ls, "JIT_ACTIVE", False)
         monkeypatch.setattr(ls, "CKERNEL_ACTIVE", True)
         via_c = list_schedule(g, 4, d)
         monkeypatch.setattr(ls, "CKERNEL_ACTIVE", False)

@@ -23,14 +23,13 @@ ephemeral port) with raw asyncio HTTP clients through four phases:
   final exposition for offline checking).
 
 Latency is reported per phase as p50/p99 milliseconds over per-request
-wall clock.  Results are written as JSON (``--out``), matching the
-committed ``BENCH_serve_baseline.json`` schema; ``--check`` turns the
-behavioural assertions into the exit code, which is how the CI
+wall clock.  Results are written as JSON (``--out``); ``--check`` turns
+the behavioural assertions into the exit code, which is how the CI
 serve-smoke job gates the service.
 
 Usage:
     python tools/load_test.py --spawn --check \\
-        --out BENCH_serve_baseline.json
+        --out serve-smoke.json
     python tools/load_test.py --url http://127.0.0.1:8642
 """
 
@@ -384,7 +383,7 @@ def main(argv=None) -> int:
                        "(cold / warm / dedupe / churn phases; see the "
                        "script docstring).",
         "command": "python tools/load_test.py --spawn --check "
-                   "--out BENCH_serve_baseline.json",
+                   "--out serve-smoke.json",
         "config": {"clients": args.clients, "instances": args.instances,
                    "churn": args.churn, "max_bytes": args.max_bytes},
         "phases": report["phases"],
