@@ -187,7 +187,7 @@ def audit_energy(schedule: Schedule, energy: "EnergyBreakdown",
 
     # 3. The reported breakdown matches the scalar reference evaluator
     #    *exactly*.  The search loops produce their breakdowns with the
-    #    vectorized schedule_energy_sweep, which is bitwise-identical to
+    #    batched batch_energy_sweep, which is bitwise-identical to
     #    schedule_energy by construction — this is the check that keeps
     #    it honest.
     scalar = schedule_energy(schedule, point, deadline_seconds, sleep=sleep)

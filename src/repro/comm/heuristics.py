@@ -9,9 +9,9 @@ processor count falls as the communication-to-computation ratio rises.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from ..core.energy import schedule_energy_sweep
+from ..core.plans import PlannedSweep, sweep_energies
 from ..core.platform import Platform, default_platform
 from ..core.results import Heuristic, InfeasibleScheduleError, \
     ScheduleResult
@@ -61,8 +61,10 @@ def comm_lamps(cgraph: CommGraph, deadline: float, *,
             f"under communication costs")
     # With communication, makespan is not monotone in N (more
     # processors can hurt), so the sweep starts from 1 processor and
-    # stops only after a sustained plateau.
-    best = None
+    # stops only after a sustained plateau.  The walk reads only
+    # makespans, so every count's ladder is planned first and evaluated
+    # in one batched sweep below.
+    sweeps: List[PlannedSweep] = []
     prev_makespan = math.inf
     stall = 0
     for n in range(1, graph.n + 1):
@@ -72,11 +74,7 @@ def comm_lamps(cgraph: CommGraph, deadline: float, *,
             points = feasible_points(platform.ladder, f_req)
             if sleep is None:
                 points = points[:1]  # plain LAMPS stretches maximally
-            sweep = schedule_energy_sweep(s, points, deadline_seconds,
-                                          sleep=sleep)
-            for e, point in zip(sweep, points):
-                if best is None or e.total < best[0].total:
-                    best = (e, point, s)
+            sweeps.append(PlannedSweep(s, tuple(points), sleep))
         if s.makespan >= prev_makespan - 1e-9:
             stall += 1
             if stall >= 3:  # non-monotone: require a plateau, not a blip
@@ -84,6 +82,14 @@ def comm_lamps(cgraph: CommGraph, deadline: float, *,
         else:
             stall = 0
             prev_makespan = s.makespan
+    # Replay the (n, point) order with a strict ``<``: ties keep the
+    # first candidate.
+    best = None
+    for ps, energies in zip(sweeps, sweep_energies(sweeps,
+                                                   deadline_seconds)):
+        for e, point in zip(energies, ps.points):
+            if best is None or e.total < best[0].total:
+                best = (e, point, ps.schedule)
     if best is None:
         raise InfeasibleScheduleError(
             f"{graph.name or 'graph'}: no feasible configuration")

@@ -1,23 +1,22 @@
 """Batched multi-instance energy evaluation over padded dense arrays.
 
-PR 4 vectorized *one* schedule's DVS-ladder sweep
-(:func:`~repro.core.energy.schedule_energy_sweep`); this module batches
-*across* schedules: a :class:`ScheduleBatch` stacks the kernel arrays of
-many schedules — typically every schedule a campaign chunk builds — into
-padded dense matrices with validity masks over the ragged tails, and
-:func:`batch_energy_sweep` evaluates a whole list of ladder sweeps
-against them in one broadcast.  The campaign runner
-(:func:`repro.exec.runner.evaluate_suite_instances`) plans a chunk of
-instances, collects every ladder sweep the searches would perform, and
-evaluates them all here instead of one
-``schedule_energy_sweep`` call at a time.
+This is the one fast energy evaluator.  A :class:`ScheduleBatch`
+stacks the kernel arrays of many schedules — typically every schedule
+a campaign chunk builds — into padded dense matrices with validity
+masks over the ragged tails, and :func:`batch_energy_sweep` evaluates a
+whole list of ladder sweeps against them in one broadcast.  The
+campaign runner (:func:`repro.exec.runner.evaluate_suite_instances`)
+plans a chunk of instances, collects every ladder sweep the searches
+would perform, and evaluates them all here;
+:func:`~repro.core.plans.sweep_energies` does the same for one search,
+and :func:`~repro.core.energy.schedule_energy_sweep` is the
+one-schedule entry.
 
 Exactness contract (see DESIGN.md, "Why batched padded sweeps are
 exact"): for every request, the returned breakdowns are *bitwise* equal
-to ``schedule_energy_sweep(schedule, points, deadline_seconds,
-sleep=sleep)``, and therefore to the scalar
-:func:`~repro.core.energy.schedule_energy` loop.  Three mechanisms make
-padding invisible at the bit level:
+to the scalar :func:`~repro.core.energy.schedule_energy` loop over the
+request's points.  Three mechanisms make padding invisible at the bit
+level:
 
 * every per-gap expression (division to seconds, the shutdown rule) is
   elementwise, so broadcasting it over a flat element array performs
@@ -220,13 +219,13 @@ def _exact_row_sums(values: np.ndarray, row_starts: np.ndarray,
 
 def _validate_requests(batch: ScheduleBatch, lane_sched: np.ndarray,
                        freqs: np.ndarray, horizons: np.ndarray) -> None:
-    """Raise exactly what the serial sweeps would, at the first offender.
+    """Raise exactly what the scalar loop would, at the first offender.
 
-    The serial path evaluates requests in order; within one request,
-    :func:`~repro.core.energy.schedule_energy_sweep` checks each point
-    in order — first the makespan window, then every employed
-    processor's horizon guard.  Lanes are laid out in that exact
-    (request, point) order, so the first bad lane is the first serial
+    The scalar loop evaluates requests in order; within one request,
+    :func:`~repro.core.energy.schedule_energy` checks each point in
+    order — first the makespan window, then every employed processor's
+    horizon guard.  Lanes are laid out in that exact
+    (request, point) order, so the first bad lane is the first scalar
     failure.
     """
     makespan_bad = batch.makespans[lane_sched] > horizons * (1.0 + 1e-9)
@@ -256,16 +255,16 @@ def batch_energy_sweep(
     """Evaluate many ladder sweeps against a batch in one broadcast.
 
     Returns one list per request, bitwise equal to
-    ``schedule_energy_sweep(batch.schedules[r.schedule_index],
-    r.points, r.deadline_seconds, sleep=r.sleep)`` — including the
-    exception the serial loop would raise, with the same message, for
-    the first offending (request, point) in request order.
+    ``[schedule_energy(batch.schedules[r.schedule_index], p,
+    r.deadline_seconds, sleep=r.sleep) for p in r.points]`` — including
+    the exception that scalar loop would raise, with the same message,
+    for the first offending (request, point) in request order.
 
     Args:
         batch: the stacked schedules.
         requests: sweeps to evaluate; requests may repeat a schedule
             index, mix sleep models, and carry empty point tuples
-            (which yield empty result lists, like the serial sweep).
+            (which yield empty result lists).
 
     Raises:
         ValueError: if some request's schedule does not fit in its

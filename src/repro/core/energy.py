@@ -11,17 +11,18 @@ window, compute the total energy under the paper's model (Section 3):
   plus 50 µW for the gap's duration;
 * processors that execute no task at all are off and cost nothing.
 
-Two evaluators are provided.  :func:`schedule_energy` is the scalar
-reference implementation: one operating point, explicit per-processor
-loop.  :func:`schedule_energy_sweep` evaluates a whole DVS ladder in one
-pass over the schedule's precomputed gap/busy arrays — the search loops
-(LAMPS+PS, S&S+PS) use it, and audits cross-check it against the scalar
-form.  The sweep reproduces the scalar results *bitwise*: every
-floating-point operation is either the identical elementwise expression
-broadcast over points, or a sum over an array with the same length and
-contents (numpy's pairwise summation is deterministic for a given
-shape), so ``schedule_energy_sweep(s, pts, D) == [schedule_energy(s, p,
-D) for p in pts]`` exactly.
+One scalar reference and one fast evaluator are provided.
+:func:`schedule_energy` is the scalar reference implementation: one
+operating point, explicit per-processor loop.  Tests and the strict
+audit compare the fast path against it.  The fast path is
+:func:`repro.core.batch.batch_energy_sweep`, which evaluates many
+ladder sweeps over many schedules in one broadcast and reproduces the
+scalar results *bitwise*.  :func:`schedule_energy_sweep` is its
+one-schedule entry: ``schedule_energy_sweep(s, pts, D) ==
+[schedule_energy(s, p, D) for p in pts]`` exactly.  Callers that sweep
+many schedules should batch them through
+:func:`repro.core.plans.sweep_energies` instead of calling it in a
+loop.
 """
 
 from __future__ import annotations
@@ -37,22 +38,13 @@ from ..sched.schedule import Schedule
 
 __all__ = ["EnergyBreakdown", "schedule_energy", "schedule_energy_sweep"]
 
-#: Work size (points x (processors + internal gaps)) below which
-#: :func:`schedule_energy_sweep` delegates to the scalar loop: for tiny
-#: sweeps the broadcast setup costs more than the per-point evaluation
-#: it amortises (the reference sweep_100 benchmark sits at ~0.91x under
-#: the broadcast path, ~1.25x via the scalar loop).  Deliberately
-#: conservative — large ladders stay on the one-pass path; see
-#: tests/core/test_energy_sweep.py for the identity of both sides.
-_SCALAR_SWEEP_CUTOVER = 64
-
 
 def _makespan_error(makespan: float, horizon_cycles: float,
                     frequency_hz: float) -> ValueError:
     """The exact infeasible-window error all evaluators must raise.
 
-    Shared by :func:`schedule_energy`, :func:`schedule_energy_sweep`
-    and :func:`repro.core.batch.batch_energy_sweep` so the three paths
+    Shared by :func:`schedule_energy` and
+    :func:`repro.core.batch.batch_energy_sweep` so the two evaluators
     cannot drift apart in message text.
     """
     return ValueError(
@@ -117,7 +109,8 @@ def schedule_energy(schedule: Schedule, point: OperatingPoint,
     """Total energy of running ``schedule`` at ``point`` until the deadline.
 
     This is the scalar reference implementation; the search loops use
-    :func:`schedule_energy_sweep`, which must agree with it bitwise.
+    :func:`repro.core.batch.batch_energy_sweep`, which must agree with
+    it bitwise.
 
     Args:
         schedule: cycle-level schedule (weights are cycles).
@@ -167,13 +160,11 @@ def schedule_energy_sweep(
         sleep: Optional[SleepModel] = None) -> List[EnergyBreakdown]:
     """Energy of ``schedule`` at every operating point, in one pass.
 
-    Evaluates the whole DVS ladder against the schedule's precomputed
-    kernel arrays instead of re-deriving the gap structure per point.
-    The internal idle gaps of a cycle-level schedule are frequency
-    -invariant (see :class:`~repro.sched.schedule.Schedule`): per
-    processor, only the trailing gap up to the horizon depends on the
-    operating point, so the per-gap arithmetic — division to seconds,
-    the PS breakeven rule — broadcasts over a gaps×points matrix.
+    A one-schedule :func:`repro.core.batch.batch_energy_sweep`.  One
+    call costs a batch's setup, so a loop over many schedules should
+    collect :class:`~repro.core.plans.PlannedSweep` entries and
+    evaluate them with one :func:`repro.core.plans.sweep_energies`
+    call instead.
 
     Returns ``[schedule_energy(schedule, p, deadline_seconds,
     sleep=sleep) for p in points]``, bitwise, including the exceptions
@@ -191,90 +182,8 @@ def schedule_energy_sweep(
         ValueError: if the schedule does not fit in the window at some
             requested point.
     """
-    points = list(points)
-    m = len(points)
-    if m == 0:
-        return []
-    employed = schedule.employed_processor_ids
-    gap_flat, gap_bounds = schedule.internal_gap_cycles
-    if m * (len(employed) + gap_flat.size) <= _SCALAR_SWEEP_CUTOVER:
-        # Small sweeps: the broadcast machinery costs more than it
-        # saves, and the scalar loop is the bitwise reference this
-        # function is specified against — delegation cannot diverge.
-        return [schedule_energy(schedule, p, deadline_seconds, sleep=sleep)
-                for p in points]
-    freqs = np.array([p.frequency for p in points])
-    epc = np.array([p.energy_per_cycle for p in points])
-    ip = np.array([p.idle_power for p in points])
-    horizons = deadline_seconds * freqs  # cycles, one per point
+    from .batch import ScheduleBatch, SweepRequest, batch_energy_sweep
 
-    makespan = schedule.makespan
-    # Replicate the scalar loop's exception order exactly: per point (in
-    # order), first the makespan check, then gap_lengths' horizon guard
-    # per employed processor (in order).
-    t_arr = schedule.proc_last_finish[list(employed)] if employed \
-        else np.empty(0)
-    bad = horizons[:, None] < (t_arr - 1e-9 * np.maximum(1.0, np.abs(t_arr)))
-    for j in range(m):
-        if makespan > horizons[j] * (1.0 + 1e-9):
-            raise _makespan_error(makespan, float(horizons[j]),
-                                  float(freqs[j]))
-        if bad[j].any():
-            k = int(np.argmax(bad[j]))
-            raise _horizon_error(float(horizons[j]), employed[k],
-                                 float(t_arr[k]))
-
-    busy_v = np.zeros(m)
-    idle_v = np.zeros(m)
-    sleep_v = np.zeros(m)
-    over_v = np.zeros(m)
-    shut_v = np.zeros(m, dtype=np.intp)
-    for proc in employed:
-        # Accumulate per processor in employed order — elementwise over
-        # points, each lane performs exactly the scalar loop's ``+=``.
-        busy_v += schedule.busy_cycles(proc) * epc
-        internal = gap_flat[gap_bounds[proc]:gap_bounds[proc + 1]]
-        g = internal.size
-        t = float(schedule.proc_last_finish[proc])
-        tol = 1e-9 * max(1.0, abs(t))
-        trail = horizons > t + tol         # trailing gap present, per point
-        rows = internal[None, :] / freqs[:, None]   # (points, gaps) seconds
-        tr = (horizons - t) / freqs                 # trailing gap, seconds
-        if sleep is None:
-            # Per-point gap sums: numpy's pairwise summation depends
-            # only on length and contents, and an axis-1 sum reduces
-            # each row exactly like a 1-D sum — so group the points by
-            # row length (with / without the trailing gap).
-            if trail.any():
-                with_tr = np.concatenate(
-                    [rows[trail], tr[trail, None]], axis=1)
-                idle_v[trail] += np.sum(with_tr, axis=1) * ip[trail]
-            if g:
-                no_tr = ~trail
-                if no_tr.any():
-                    idle_v[no_tr] += np.sum(rows[no_tr], axis=1) * ip[no_tr]
-        else:
-            # The PS rule compacts each point's gap vector by its shut
-            # mask before summing; compaction changes the summation
-            # tree, so reproduce the scalar's per-point arrays exactly.
-            sp = sleep.sleep_power
-            oh = sleep.overhead_energy
-            for j in range(m):
-                if trail[j]:
-                    gaps = np.append(rows[j], tr[j])
-                elif g:
-                    gaps = rows[j]
-                else:
-                    continue  # gaps.size == 0 -> scalar skips the proc
-                shut = np.asarray(sleep.would_shut_down(gaps, ip[j]))
-                stay = ~shut
-                idle_v[j] += float(gaps[stay].sum()) * ip[j]
-                sleep_v[j] += float(gaps[shut].sum()) * sp
-                k = int(shut.sum())
-                over_v[j] += k * oh
-                shut_v[j] += k
-    return [EnergyBreakdown(busy=float(busy_v[j]), idle=float(idle_v[j]),
-                            sleep=float(sleep_v[j]),
-                            overhead=float(over_v[j]),
-                            n_shutdowns=int(shut_v[j]))
-            for j in range(m)]
+    return batch_energy_sweep(
+        ScheduleBatch.from_schedules([schedule]),
+        [SweepRequest(0, tuple(points), deadline_seconds, sleep)])[0]

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..graphs.dag import TaskGraph
 from ..sched.deadlines import task_deadlines
 from ..sched.schedule import Placement, Schedule
-from .energy import schedule_energy_sweep
+from .plans import PlannedSweep, sweep_energies
 from .platform import Platform, default_platform
 from .results import Heuristic, InfeasibleScheduleError, ScheduleResult
 from .stretch import feasible_points, required_frequency
@@ -146,16 +146,21 @@ def optimal_single_frequency(
 
     best: Optional[Tuple] = None
     for n in range(1, n_max + 1):
+        sweeps: List[PlannedSweep] = []
         for sched in enumerate_schedules(graph, n):
             f_req = required_frequency(sched, d, platform.fmax)
-            if f_req > platform.fmax * (1.0 + 1e-9):
-                continue
-            points = feasible_points(platform.ladder, f_req)
-            sweep = schedule_energy_sweep(sched, points,
-                                          deadline_seconds, sleep=sleep)
-            for energy, point in zip(sweep, points):
+            if f_req <= platform.fmax * (1.0 + 1e-9):
+                sweeps.append(PlannedSweep(
+                    sched, tuple(feasible_points(platform.ladder, f_req)),
+                    sleep))
+        # One batched sweep per processor count; the selection replays
+        # the (schedule, point) order with a strict ``<``, so ties keep
+        # the first candidate.
+        for ps, energies in zip(sweeps,
+                                sweep_energies(sweeps, deadline_seconds)):
+            for energy, point in zip(energies, ps.points):
                 if best is None or energy.total < best[0].total:
-                    best = (energy, point, sched)
+                    best = (energy, point, ps.schedule)
     if best is None:
         raise InfeasibleScheduleError(
             f"{graph.name or 'graph'}: no feasible schedule up to "

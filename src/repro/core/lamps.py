@@ -33,7 +33,7 @@ from ..power.shutdown import SleepModel
 from ..sched.list_scheduler import list_schedule
 from ..sched.priorities import PriorityPolicy
 from ..sched.schedule import Schedule
-from .energy import EnergyBreakdown, schedule_energy_sweep
+from .energy import EnergyBreakdown
 from .plans import PlanCache, PlannedSweep, plan_scope, sweep_energies
 from .platform import Platform, default_platform
 from .results import Heuristic, InfeasibleScheduleError, ScheduleResult
@@ -198,8 +198,8 @@ def lamps_search(
                     log.anomaly_retries += 1
 
         # One broadcast evaluates every candidate's full ladder; the
-        # batch kernel is bitwise-identical to per-candidate
-        # schedule_energy_sweep calls, including exception order.
+        # batch kernel is bitwise-identical to a per-point scalar
+        # schedule_energy loop, including exception order.
         energies = sweep_energies(sweeps, deadline_seconds)
 
         # Finish: replay the historical selection over the precomputed
@@ -299,31 +299,6 @@ def _select_best(
     loop, so the serial and batched paths pick the same point.
     """
     return min(zip(breakdowns, points), key=lambda c: c[0].total)
-
-
-def _best_operating_point(
-        schedule: Schedule, f_req: float,
-        platform: Platform, deadline_seconds: float,
-        sleep: Optional[SleepModel],
-        log: Optional[AuditLog] = None,
-        o: Optional[Union[ObsLog, NullObs]] = None,
-) -> Tuple[EnergyBreakdown, OperatingPoint]:
-    """Best (energy, point) for a fixed schedule.
-
-    ``_candidate_points`` decides *what* to evaluate (and counts it),
-    one :func:`~repro.core.energy.schedule_energy_sweep` evaluates the
-    ladder bitwise-identically to a per-point scalar loop, and
-    ``_select_best`` picks the winner.  ``o`` is an already-normalised
-    obs recorder (``ObsLog`` or ``NULL_OBS``).
-
-    Raises:
-        InfeasibleScheduleError: no ladder point meets ``f_req``.
-    """
-    points = _candidate_points(schedule, f_req, platform,
-                               deadline_seconds, sleep, log, o)
-    breakdowns = schedule_energy_sweep(schedule, points, deadline_seconds,
-                                       sleep=sleep)
-    return _select_best(breakdowns, points)
 
 
 def lamps(graph: TaskGraph, deadline_cycles: float, **kwargs) -> ScheduleResult:

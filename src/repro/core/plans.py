@@ -1,8 +1,8 @@
 """Per-instance plan memoization + batched candidate evaluation.
 
-PR 4 vectorized one schedule's ladder sweep and the batch layer
-vectorized evaluation *across* instances; what remains *within* one
-instance is redundant plan construction: LAMPS phase 1 (binary search
+The batch layer vectorizes energy evaluation *across* schedules and
+instances; what remains *within* one instance is redundant plan
+construction: LAMPS phase 1 (binary search
 over the processor count), phase 2 (linear sweep), Fig. 6's
 ``energy_vs_processors`` and the six-heuristic suite all call
 ``list_schedule`` on overlapping ``(graph, n, policy)`` configurations
@@ -79,10 +79,10 @@ ScheduleBuilder = Callable[..., Schedule]
 class PlannedSweep:
     """One deferred ladder sweep a search plan wants evaluated.
 
-    ``schedule_energy_sweep(schedule, points, deadline_seconds,
-    sleep=sleep)`` — or the batched equivalent via
-    :func:`sweep_energies` — produces the breakdown list the search's
-    finish step consumes.
+    :func:`sweep_energies` turns a list of these into the breakdown
+    lists the search's finish step consumes: one breakdown per point,
+    as ``schedule_energy(schedule, p, deadline_seconds, sleep=sleep)``
+    would compute it.
     """
 
     schedule: Schedule
@@ -100,11 +100,13 @@ def sweep_energies(sweeps: Sequence[PlannedSweep],
     through a single :func:`~repro.core.batch.batch_energy_sweep` call.
     ``deadline_seconds`` is one window shared by every sweep (one
     search), or one window per sweep (a chunk of instances).
-    Bitwise-identical to ``[schedule_energy_sweep(s.schedule,
-    list(s.points), window, sleep=s.sleep) for s in sweeps]`` —
-    including exceptions, which the batch kernel raises for the first
-    offending request in request order, i.e. exactly where the serial
-    loop would have raised first.
+    Bitwise-identical to ``[[schedule_energy(s.schedule, p, window,
+    sleep=s.sleep) for p in s.points] for s in sweeps]`` — including
+    exceptions, which the batch kernel raises for the first offending
+    (sweep, point) in order, i.e. exactly where that scalar loop would
+    have raised first.  Loops that sweep one schedule at a time should
+    collect their sweeps and make one call here: a batch's setup costs
+    more than a short ladder's evaluation.
     """
     sweeps = list(sweeps)
     if not sweeps:

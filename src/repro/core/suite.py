@@ -37,7 +37,7 @@ from ..power.shutdown import SleepModel
 from ..sched.list_scheduler import list_schedule
 from ..sched.priorities import PriorityPolicy
 from ..sched.schedule import Schedule
-from .energy import EnergyBreakdown, schedule_energy_sweep
+from .energy import EnergyBreakdown
 from .lamps import _candidate_points, _select_best
 from .limits import limit_mf, limit_sf
 from .plans import PlanCache, PlannedSweep, plan_scope, sweep_energies
@@ -220,10 +220,9 @@ def _finish_suite(
 ) -> Dict[Heuristic, ScheduleResult]:
     """Turn a plan's sweep energies into the six suite results.
 
-    ``energies[i]`` must be the breakdown list of ``plan.sweeps[i]`` —
-    from :func:`~repro.core.energy.schedule_energy_sweep` or the
-    batched equivalent, which agree bitwise.  Selection replays the
-    historical tie-breaking exactly: ``min`` keeps the first minimal
+    ``energies[i]`` must be the breakdown list of ``plan.sweeps[i]``,
+    as :func:`~repro.core.plans.sweep_energies` returns it.  Selection
+    replays the historical tie-breaking exactly: ``min`` keeps the first minimal
     ladder point, cross-count comparison keeps the earlier processor
     count on ties, and the fully spread +PS candidate only displaces a
     strictly worse phase-2 winner.
@@ -385,7 +384,7 @@ def paper_suite_batch(
                          for _ in p.sweeps])
             except ValueError:
                 # Exceptions must surface with per-instance attribution,
-                # so re-run the sweeps per instance below; the first
+                # so re-run one sweep per instance below; the first
                 # offender re-raises the identical error from its own
                 # instance's evaluation.
                 energies = None
@@ -397,11 +396,8 @@ def paper_suite_batch(
                 with o.span("suite.finish", category="suite",
                             graph=plan.graph.name):
                     if energies is None:
-                        per_plan = [
-                            schedule_energy_sweep(
-                                ps.schedule, list(ps.points),
-                                plan.deadline_seconds, sleep=ps.sleep)
-                            for ps in plan.sweeps]
+                        per_plan = sweep_energies(plan.sweeps,
+                                                  plan.deadline_seconds)
                     else:
                         per_plan = energies[cursor:cursor + k]
                         if plan.log is not None:

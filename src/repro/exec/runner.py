@@ -9,9 +9,9 @@ over the pool, store fresh summaries, and hand back restored
 Misses travel in contiguous *chunks* through
 :func:`repro.exec.pool.run_instances`: each chunk is one
 :func:`repro.core.suite.paper_suite_batch` broadcast in the worker, and
-its summaries come back as a dense ``(chunk, 6, 16)`` float64 block.
-Strict and profile campaigns run the same chunks; their workers also
-return the chunk's audit counters and obs payload.  All modes —
+its :func:`~repro.exec.cache.summarize_results` payloads come back
+pickled.  Strict and profile campaigns run the same chunks; their
+workers also return the chunk's audit counters and obs payload.  All modes —
 serial, parallel, strict, profiled, warm cache — pass through the same
 summarize/restore round-trip and are byte-identical.
 """
@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from ..audit.report import AuditLog
 from ..core.platform import Platform, default_platform
@@ -141,104 +139,20 @@ class ExecOptions:
                 f"{total / len(times):.3f} s mean, {max(times):.3f} s max")
 
 
-#: Fixed row order of the (6, 16) per-instance summary array — the
-#: paper's presentation order, which is also the iteration order of
-#: :func:`~repro.exec.cache.summarize_results`.
-_ROW_ORDER = (Heuristic.SNS, Heuristic.LAMPS, Heuristic.SNS_PS,
-              Heuristic.LAMPS_PS, Heuristic.LIMIT_SF, Heuristic.LIMIT_MF)
-#: Columns: busy, idle, sleep, overhead, n_shutdowns, has_point,
-#: frequency, vdd, active_power, idle_power, energy_per_cycle, vbs,
-#: n_processors, deadline_cycles, deadline_seconds, meets_deadline.
-_N_COLS = 16
-
-
-def _encode_summaries(summaries: List[dict]) -> "np.ndarray":
-    """One instance's summary dicts as a dense (6, 16) float64 array.
-
-    A chunk's summaries cross the pool as one homogeneous float64
-    block; this packs the exact
-    :func:`~repro.exec.cache.summarize_results` payload into it.  Every
-    value survives bit-exactly: the floats are float64 already, and the
-    integer/boolean fields (shutdown counts, processor counts, the
-    feasibility flag) are far below 2**53.
-    """
-    assert len(summaries) == len(_ROW_ORDER)
-    arr = np.zeros((len(_ROW_ORDER), _N_COLS))
-    for h, row, d in zip(_ROW_ORDER, arr, summaries):
-        assert d["heuristic"] == h.value
-        e = d["energy"]
-        row[0:5] = (e["busy"], e["idle"], e["sleep"], e["overhead"],
-                    e["n_shutdowns"])
-        p = d["point"]
-        if p is not None:
-            row[5] = 1.0
-            row[6:12] = (p["frequency"], p["vdd"], p["active_power"],
-                         p["idle_power"], p["energy_per_cycle"], p["vbs"])
-        # n_processors is None for the LIMIT bounds — NaN is its
-        # sentinel (a real count is always a small non-NaN integer).
-        row[12:16] = (np.nan if d["n_processors"] is None
-                      else d["n_processors"],
-                      d["deadline_cycles"], d["deadline_seconds"],
-                      1.0 if d["meets_deadline"] else 0.0)
-    return arr
-
-
-def _decode_summaries(arr: "np.ndarray", graph_name: Optional[str]
-                      ) -> List[dict]:
-    """Inverse of :func:`_encode_summaries`.
-
-    Rebuilds the exact :func:`~repro.exec.cache.summarize_results`
-    dicts — including Python types: ``n_shutdowns`` and
-    ``n_processors`` back to ``int``, ``meets_deadline`` back to
-    ``bool`` — so the JSON the cache writes is byte-identical to that
-    of the summaries themselves (``2`` and ``2.0`` are different JSON
-    bytes).
-    ``graph_name`` is reattached from the coordinator's own instance
-    list; it never rides in the array.
-    """
-    out = []
-    for h, row in zip(_ROW_ORDER, arr):
-        point = None if row[5] == 0.0 else {
-            "frequency": float(row[6]),
-            "vdd": float(row[7]),
-            "active_power": float(row[8]),
-            "idle_power": float(row[9]),
-            "energy_per_cycle": float(row[10]),
-            "vbs": float(row[11]),
-        }
-        out.append({
-            "heuristic": h.value,
-            "graph_name": graph_name,
-            "energy": {
-                "busy": float(row[0]),
-                "idle": float(row[1]),
-                "sleep": float(row[2]),
-                "overhead": float(row[3]),
-                "n_shutdowns": int(row[4]),
-            },
-            "point": point,
-            "n_processors": None if np.isnan(row[12]) else int(row[12]),
-            "deadline_cycles": float(row[13]),
-            "deadline_seconds": float(row[14]),
-            "meets_deadline": bool(row[15]),
-        })
-    return out
-
-
 def _suite_chunk_worker(
         item: "Tuple[int, Tuple[Instance, ...], Optional[Platform], str, "
               "bool, bool]",
 ) -> object:
     """Evaluate a contiguous chunk of instances in one batched sweep.
 
-    Returns a ``(len(chunk), 6, 16)`` float64 array of encoded
-    summaries — one compact pickle per chunk.  Under
-    ``strict`` and/or ``profile`` it returns ``(block, audit counters
-    or None, obs payload or None)`` instead, for the runner to merge;
-    the block is identical either way.  ``start`` is the chunk's offset
-    in the pending work list: a failing instance is annotated
-    chunk-locally by :func:`paper_suite_batch` and rebased here to its
-    global pending index.
+    Returns ``(summaries, audit counters or None, obs payload or
+    None)``: ``summaries`` holds one
+    :func:`~repro.exec.cache.summarize_results` list per instance, in
+    chunk order, and the counters and payload are present under
+    ``strict`` and ``profile`` for the runner to merge.  ``start`` is
+    the chunk's offset in the pending work list: a failing instance is
+    annotated chunk-locally by :func:`paper_suite_batch` and rebased
+    here to its global pending index.
     """
     from ..core.suite import paper_suite_batch
 
@@ -253,17 +167,8 @@ def _suite_chunk_worker(
         if local is not None:
             exc.instance_index = start + local  # type: ignore[attr-defined]
         raise
-    if results:
-        block = np.stack([_encode_summaries(summarize_results(r))
-                          for r in results])
-    else:
-        # A zero-instance chunk (the server's empty-dispatch path, or a
-        # fully-warm batch) must still round-trip the transport, and
-        # np.stack refuses an empty list.
-        block = np.zeros((0, len(_ROW_ORDER), _N_COLS))
-    if log is None and obs is None:
-        return block
-    return (block, None if log is None else log.counters(),
+    return ([summarize_results(r) for r in results],
+            None if log is None else log.counters(),
             None if obs is None else obs.to_dict())
 
 
@@ -335,12 +240,10 @@ def evaluate_suite_instances(
             pending.append(i)
 
     # Contiguous chunks of pending instances, each evaluated by one
-    # paper_suite_batch broadcast in a worker, results shipped back as
-    # dense float64 blocks and decoded here into the exact summary
-    # payloads.
+    # paper_suite_batch broadcast in a worker, whose summary payloads
+    # come back pickled.
     chunksize = max(1, options.batch_chunk)
     total = len(pending)
-    wrapped = audit is not None or obs is not None
     chunk_items = [
         (start,
          tuple(instances[i] for i in pending[start:start + chunksize]),
@@ -370,19 +273,14 @@ def evaluate_suite_instances(
                               progress=chunk_progress, obs=pool_obs,
                               tags=chunk_tags):
         start = chunk_items[item.index][0]
-        block = item.value
-        if wrapped:
-            block, counters, trace = block
-            if audit is not None:
-                audit.merge(counters)
-            if obs is not None:
-                obs.merge_dict(trace)
-        k = block.shape[0]
-        mean_seconds = item.seconds / k
-        for local in range(k):
+        payloads, counters, trace = item.value
+        if audit is not None:
+            audit.merge(counters)
+        if obs is not None:
+            obs.merge_dict(trace)
+        mean_seconds = item.seconds / len(payloads)
+        for local, payload in enumerate(payloads):
             i = pending[start + local]
-            payload = _decode_summaries(block[local],
-                                        instances[i][0].name)
             options.instance_seconds.append(mean_seconds)
             if cache is not None:
                 cache.put(keys[i], payload)

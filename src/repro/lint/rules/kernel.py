@@ -19,9 +19,10 @@ that true:
   aggregates;
 * **KER003** — the scalar :func:`~repro.core.energy.schedule_energy`
   exists as the audit cross-check; search and evaluation paths must go
-  through the vectorized ``schedule_energy_sweep`` (bitwise-identical
-  by construction), so a scalar call outside :mod:`repro.audit` is
-  either dead weight on a hot path or a drift hazard.
+  through the batched ``sweep_energies`` / ``batch_energy_sweep``
+  (bitwise-identical by construction), so a scalar call outside
+  :mod:`repro.audit` is either dead weight on a hot path or a drift
+  hazard.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ class ScalarEnergyCall(Rule):
     scope = "global"
     description = ("scalar schedule_energy() call outside the audit "
                    "cross-check; hot paths use the bitwise-identical "
-                   "schedule_energy_sweep")
+                   "sweep_energies / batch_energy_sweep")
 
     def visit_Call(self, node: ast.Call) -> None:
         if not _module_allowed(self.ctx.module, _SCALAR_ENERGY_OK):
@@ -218,6 +219,7 @@ class ScalarEnergyCall(Rule):
                 self.report(node,
                             "scalar schedule_energy() outside "
                             "repro.audit; evaluate through "
-                            "schedule_energy_sweep (bitwise-identical "
-                            "and vectorized over the ladder)")
+                            "sweep_energies / batch_energy_sweep "
+                            "(bitwise-identical and batched over "
+                            "schedules and ladders)")
         self.generic_visit(node)

@@ -16,7 +16,7 @@ precomputed once at construction.  Internal gaps (the leading gap and
 the gaps between consecutive tasks of one processor) are frequency
 -invariant in cycles; only the trailing gap up to the horizon depends on
 the operating point, which is what makes the one-shot DVS-ladder sweep
-of :func:`repro.core.energy.schedule_energy_sweep` possible.
+of :func:`repro.core.batch.batch_energy_sweep` possible.
 
 :class:`Placement` objects are a *lazily materialized view*: the
 schedulers build schedules through :meth:`Schedule.from_arrays` without

@@ -15,7 +15,7 @@ import pytest
 from repro.audit import AuditLog
 from repro.core.energy import EnergyBreakdown
 from repro.core.lamps import (
-    _best_operating_point,
+    _candidate_points,
     energy_vs_processors,
     lamps_search,
 )
@@ -128,18 +128,18 @@ class TestEmptyLadder:
             self, schedule, platform):
         f_req = platform.fmax * (1.0 + 1e-6)
         with pytest.raises(InfeasibleScheduleError, match="GHz"):
-            _best_operating_point(schedule, f_req, platform, 1e-3,
-                                  platform.sleep)
+            _candidate_points(schedule, f_req, platform, 1e-3,
+                              platform.sleep)
 
     def test_stretch_path_raises_infeasible(self, schedule, platform):
         f_req = platform.fmax * (1.0 + 1e-6)
         with pytest.raises(InfeasibleScheduleError, match="ladder"):
-            _best_operating_point(schedule, f_req, platform, 1e-3, None)
+            _candidate_points(schedule, f_req, platform, 1e-3, None)
 
     def test_message_names_the_graph_and_window(self, schedule, platform):
         with pytest.raises(InfeasibleScheduleError, match="diamond"):
-            _best_operating_point(schedule, platform.fmax * 2.0, platform,
-                                  0.5, platform.sleep)
+            _candidate_points(schedule, platform.fmax * 2.0, platform,
+                              0.5, platform.sleep)
 
 
 class TestStrictIsANoOpOnResults:

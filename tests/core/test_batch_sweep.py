@@ -1,16 +1,14 @@
-"""Differential tests: the cross-instance batched sweep vs serial paths.
+"""Differential tests: the cross-instance batched sweep vs the scalar loop.
 
 :func:`repro.core.batch.batch_energy_sweep` claims that every request's
-breakdown list is *bitwise* equal to the per-instance
-:func:`repro.core.energy.schedule_energy_sweep` — and hence, by PR 4's
-differential suite, to the scalar :func:`repro.core.energy
-.schedule_energy` loop.  That chain is what lets the campaign runner
-evaluate whole chunks at once while reports, caches and golden files
-keep their exact historical bytes, so it is asserted with ``==`` on
-every component over drawn batches: mixed graph sizes and processor
-counts (ragged padded tails), mixed sleep models within one batch,
-single-member batches, duplicate and empty point tuples, and the
-exception order of infeasible windows.
+breakdown list is *bitwise* equal to the scalar
+:func:`repro.core.energy.schedule_energy` loop over the request's
+points.  That is what lets the campaign runner evaluate whole chunks at
+once while reports, caches and golden files keep their exact historical
+bytes, so it is asserted with ``==`` on every component over drawn
+batches: mixed graph sizes and processor counts (ragged padded tails),
+mixed sleep models within one batch, single-member batches, duplicate
+and empty point tuples, and the exception order of infeasible windows.
 """
 
 import numpy as np
@@ -19,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch import ScheduleBatch, SweepRequest, batch_energy_sweep
-from repro.core.energy import schedule_energy, schedule_energy_sweep
+from repro.core.energy import schedule_energy
 from repro.core.platform import default_platform
 from repro.core.stretch import feasible_points, required_frequency
 from repro.graphs.analysis import critical_path_length
@@ -71,11 +69,19 @@ def assert_bitwise_equal(got, want):
         assert b_got.n_shutdowns == b_want.n_shutdowns
 
 
+def scalar_sweep(schedule, points, window, sleep=None):
+    """The scalar reference loop over one schedule's points."""
+    return [schedule_energy(schedule, p, window, sleep=sleep)
+            for p in points]
+
+
 def serial_reference(batch, requests):
-    """What the per-instance sweep produces, request by request."""
-    return [schedule_energy_sweep(batch.schedules[r.schedule_index],
-                                  r.points, r.deadline_seconds,
-                                  sleep=r.sleep)
+    """What the scalar loop produces, request by request.
+
+    It raises at the same first (request, point) the batch must name.
+    """
+    return [scalar_sweep(batch.schedules[r.schedule_index], r.points,
+                         r.deadline_seconds, sleep=r.sleep)
             for r in requests]
 
 
@@ -148,7 +154,7 @@ class TestBatchShapes:
             batch, [SweepRequest(0, points, window, sleep=PLATFORM.sleep)])
         assert_bitwise_equal(
             got[0],
-            schedule_energy_sweep(s, points, window, sleep=PLATFORM.sleep))
+            scalar_sweep(s, points, window, sleep=PLATFORM.sleep))
 
     def test_empty_request_list(self):
         s, _, _ = _instance(7, 20, 2, 2.0)
@@ -163,7 +169,7 @@ class TestBatchShapes:
                     SweepRequest(2, (), members[2][2])]
         got = batch_energy_sweep(batch, requests)
         assert got[0] == [] and got[2] == []
-        assert_bitwise_equal(got[1], schedule_energy_sweep(
+        assert_bitwise_equal(got[1], scalar_sweep(
             members[1][0], members[1][1], members[1][2]))
 
     def test_many_requests_per_member(self):

@@ -1,20 +1,19 @@
-"""Differential tests: the vectorized ladder sweep vs the scalar evaluator.
+"""Differential tests: the one-schedule ladder sweep vs the scalar evaluator.
 
-:func:`repro.core.energy.schedule_energy_sweep` claims to reproduce
+:func:`repro.core.energy.schedule_energy_sweep` — a one-schedule
+:func:`repro.core.batch.batch_energy_sweep` — claims to reproduce
 ``[schedule_energy(s, p, D, sleep=sleep) for p in points]`` *bitwise* —
 not merely within tolerance.  That claim is what lets the search loops
-use the sweep while audits, caches and golden files keep their exact
-historical values, so it is asserted here with ``==`` on every
-component, over random instances, deadline windows and sleep models.
+use the batched evaluator while audits, caches and golden files keep
+their exact historical values, so it is asserted here with ``==`` on
+every component, over random instances, deadline windows and sleep
+models.
 """
-
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import repro.core.energy as energy_mod
 from repro.core.energy import schedule_energy, schedule_energy_sweep
 from repro.core.platform import default_platform
 from repro.core.stretch import feasible_points, required_frequency
@@ -45,21 +44,6 @@ def swept_schedules(draw):
     return s, points, platform.seconds(deadline)
 
 
-@contextmanager
-def forced_cutover(value):
-    """Pin the scalar-fast-path cutover so a test exercises one side.
-
-    ``-1`` forces the broadcast path (the claim under differential
-    test); a huge value forces the scalar delegation.
-    """
-    old = energy_mod._SCALAR_SWEEP_CUTOVER
-    energy_mod._SCALAR_SWEEP_CUTOVER = value
-    try:
-        yield
-    finally:
-        energy_mod._SCALAR_SWEEP_CUTOVER = old
-
-
 def assert_bitwise_equal(got, want):
     assert len(got) == len(want)
     for b_got, b_want in zip(got, want):
@@ -75,8 +59,7 @@ class TestSweepMatchesScalar:
     @settings(max_examples=40, deadline=None)
     def test_without_sleep(self, inst):
         s, points, window = inst
-        with forced_cutover(-1):
-            got = schedule_energy_sweep(s, points, window)
+        got = schedule_energy_sweep(s, points, window)
         assert_bitwise_equal(
             got, [schedule_energy(s, p, window) for p in points])
 
@@ -85,8 +68,7 @@ class TestSweepMatchesScalar:
     def test_with_sleep(self, inst):
         s, points, window = inst
         sleep = default_platform().sleep
-        with forced_cutover(-1):
-            got = schedule_energy_sweep(s, points, window, sleep=sleep)
+        got = schedule_energy_sweep(s, points, window, sleep=sleep)
         assert_bitwise_equal(
             got, [schedule_energy(s, p, window, sleep=sleep)
                   for p in points])
@@ -100,8 +82,7 @@ class TestSweepMatchesScalar:
         s, points, window = inst
         sleep = SleepModel(sleep_power=sleep_power,
                            overhead_energy=overhead)
-        with forced_cutover(-1):
-            got = schedule_energy_sweep(s, points, window, sleep=sleep)
+        got = schedule_energy_sweep(s, points, window, sleep=sleep)
         assert_bitwise_equal(
             got, [schedule_energy(s, p, window, sleep=sleep)
                   for p in points])
@@ -166,68 +147,3 @@ class TestSweepEdgeCases:
             schedule_energy_sweep(s, points, window, sleep=platform.sleep),
             [schedule_energy(s, p, window, sleep=platform.sleep)
              for p in points])
-
-
-class TestScalarFastPath:
-    """The small-sweep scalar delegation in ``schedule_energy_sweep``."""
-
-    @pytest.fixture()
-    def small(self):
-        """An instance whose work size sits below the real cutover."""
-        platform = default_platform()
-        g = stg_random_graph(20, 3).scaled(3.1e6)
-        deadline = 2.0 * critical_path_length(g)
-        d = task_deadlines(g, deadline)
-        s = list_schedule(g, 2, d)
-        f_req = required_frequency(s, d, platform.fmax)
-        points = feasible_points(platform.ladder, f_req)
-        gap_flat, _ = s.internal_gap_cycles
-        work = len(points) * (len(s.employed_processor_ids)
-                              + gap_flat.size)
-        assert 0 < work <= energy_mod._SCALAR_SWEEP_CUTOVER
-        return s, points, platform, platform.seconds(deadline)
-
-    def test_small_sweep_delegates_to_scalar(self, small, monkeypatch):
-        s, points, platform, window = small
-        calls = []
-        real = energy_mod.schedule_energy
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(energy_mod, "schedule_energy", spy)
-        schedule_energy_sweep(s, points, window, sleep=platform.sleep)
-        assert len(calls) == len(points)
-        calls.clear()
-        with forced_cutover(-1):
-            schedule_energy_sweep(s, points, window, sleep=platform.sleep)
-        assert calls == []
-
-    def test_both_sides_bitwise_identical(self, small):
-        s, points, platform, window = small
-        for sleep in (None, platform.sleep):
-            with forced_cutover(10 ** 9):
-                scalar_side = schedule_energy_sweep(
-                    s, points, window, sleep=sleep)
-            with forced_cutover(-1):
-                broadcast_side = schedule_energy_sweep(
-                    s, points, window, sleep=sleep)
-            assert_bitwise_equal(scalar_side, broadcast_side)
-            assert_bitwise_equal(
-                scalar_side,
-                [schedule_energy(s, p, window, sleep=sleep)
-                 for p in points])
-
-    def test_error_paths_agree_across_cutover(self, small):
-        s, _, platform, _ = small
-        slow = platform.ladder[0]
-        window = 0.5 * s.makespan / slow.frequency
-        ordered = list(platform.ladder)
-        messages = []
-        for cutover in (-1, 10 ** 9):
-            with forced_cutover(cutover):
-                with pytest.raises(ValueError) as exc:
-                    schedule_energy_sweep(s, ordered, window)
-            messages.append(str(exc.value))
-        assert messages[0] == messages[1]

@@ -26,7 +26,7 @@ from repro.core.lamps import energy_vs_processors
 from repro.core.plans import PlanCache, PlannedSweep, plan_scope, \
     sweep_energies
 from repro.core.platform import default_platform
-from repro.core.energy import schedule_energy_sweep
+from repro.core.energy import schedule_energy
 from repro.core.stretch import feasible_points, required_frequency
 from repro.graphs.analysis import critical_path_length
 from repro.graphs.generators import stg_random_graph
@@ -266,8 +266,8 @@ class TestSweepEnergies:
         planned.append(PlannedSweep(schedule=planned[0].schedule,
                                     points=planned[0].points, sleep=None))
         got = sweep_energies(planned, window)
-        want = [schedule_energy_sweep(ps.schedule, list(ps.points), window,
-                                      sleep=ps.sleep) for ps in planned]
+        want = [[schedule_energy(ps.schedule, p, window, sleep=ps.sleep)
+                 for p in ps.points] for ps in planned]
         assert got == want
 
     def test_empty(self):

@@ -52,29 +52,30 @@ def test_warm_cache_equals_serial(serial_report, tmp_path):
 
 
 def test_vectorized_sweep_is_invisible(serial_report, monkeypatch):
-    """The one-shot ladder sweep must not perturb campaign bytes.
+    """The batched ladder sweep must not perturb campaign bytes.
 
-    Reruns the campaign with the search loops forced onto a per-point
-    scalar ``schedule_energy`` loop (the pre-kernel evaluation path)
-    and asserts the report is byte-identical to the normal run, which
-    uses ``schedule_energy_sweep``.
+    Reruns the campaign with the suite's ``sweep_energies`` replaced by
+    a per-point scalar ``schedule_energy`` loop (the reference
+    evaluator) and asserts the report is byte-identical to the normal
+    run, which evaluates every chunk in one ``batch_energy_sweep``.
     """
-    import importlib
-
+    import repro.core.suite
     from repro.core.energy import schedule_energy
 
-    # repro.core re-exports functions named like their modules, so go
-    # through importlib to reach the modules themselves.
-    lamps_mod = importlib.import_module("repro.core.lamps")
-    sns_mod = importlib.import_module("repro.core.sns")
+    calls = []
 
-    def scalar_sweep(schedule, points, deadline_seconds, *, sleep=None):
-        return [schedule_energy(schedule, p, deadline_seconds, sleep=sleep)
-                for p in points]
+    def scalar_sweeps(sweeps, deadline_seconds):
+        calls.append(len(sweeps))
+        windows = (list(deadline_seconds)
+                   if isinstance(deadline_seconds, (list, tuple))
+                   else [deadline_seconds] * len(sweeps))
+        return [[schedule_energy(ps.schedule, p, window, sleep=ps.sleep)
+                 for p in ps.points]
+                for ps, window in zip(sweeps, windows)]
 
-    monkeypatch.setattr(lamps_mod, "schedule_energy_sweep", scalar_sweep)
-    monkeypatch.setattr(sns_mod, "schedule_energy_sweep", scalar_sweep)
+    monkeypatch.setattr(repro.core.suite, "sweep_energies", scalar_sweeps)
     scalar = _campaign(ExecOptions(jobs=1, use_cache=False))
+    assert sum(calls) > 0  # the patch evaluated sweeps
     assert scalar.to_json() == serial_report.to_json()
 
 

@@ -7,7 +7,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
 import pytest
 
 from repro.exec.pool import InstanceResult, run_instances
@@ -187,12 +186,53 @@ class TestFailureIdentification:
 class TestSuiteChunkWorker:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_empty_chunk_round_trips_as_empty_block(self, jobs):
-        """A zero-instance chunk encodes to a (0, 6, 16) block instead
-        of tripping ``np.stack`` on an empty list, and crosses the pool
-        intact."""
+        """A zero-instance chunk returns no summaries, no counters and
+        no obs payload, and crosses the pool intact."""
         from repro.exec.runner import _suite_chunk_worker
 
         item = (0, (), None, "edf", False, False)
         [result] = run_instances(_suite_chunk_worker, [item], jobs=jobs)
-        assert result.value.shape == (0, 6, 16)
-        assert result.value.dtype == np.float64
+        assert result.value == ([], None, None)
+
+    @pytest.mark.parametrize("strict, profile", [(False, False),
+                                                 (True, True)])
+    def test_summaries_are_json_exact(self, strict, profile):
+        """Summaries cross the pool as plain Python values of the types
+        their JSON form decodes to, so the cache bytes written from them
+        equal those of a reloaded entry (``2`` and ``2.0`` differ as
+        JSON)."""
+        import json
+
+        from repro.core.results import Heuristic
+        from repro.exec.runner import _suite_chunk_worker
+        from repro.graphs.analysis import critical_path_length
+        from repro.graphs.generators import stg_random_graph
+
+        chunk = []
+        for seed in range(3):
+            g = stg_random_graph(20, seed).scaled(3.1e6)
+            chunk.append((g, (1.5 + 0.5 * seed) * critical_path_length(g)))
+        summaries, counters, trace = _suite_chunk_worker(
+            (0, tuple(chunk), None, "edf", strict, profile))
+        assert (counters is not None) == strict
+        assert (trace is not None) == profile
+        assert len(summaries) == len(chunk)
+        for payload in summaries:
+            assert [d["heuristic"] for d in payload] == \
+                [h.value for h in Heuristic]
+            for d in payload:
+                assert type(d["energy"]["n_shutdowns"]) is int
+                assert d["n_processors"] is None or \
+                    type(d["n_processors"]) is int
+                assert type(d["meets_deadline"]) is bool
+                floats = [d["deadline_cycles"], d["deadline_seconds"]]
+                floats += [v for k, v in d["energy"].items()
+                           if k != "n_shutdowns"]
+                if d["point"] is not None:
+                    floats += list(d["point"].values())
+                assert all(type(v) is float for v in floats)
+            assert json.loads(json.dumps(payload)) == payload
+        limits = [d for payload in summaries for d in payload
+                  if d["heuristic"] in (Heuristic.LIMIT_SF.value,
+                                        Heuristic.LIMIT_MF.value)]
+        assert len(limits) == 2 * len(chunk)
