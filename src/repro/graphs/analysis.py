@@ -36,9 +36,25 @@ def top_levels(graph: TaskGraph) -> np.ndarray:
     """Longest weighted path *ending at* each node, inclusive of the node.
 
     Indexed by dense node index.  ``max(top_levels)`` equals the CPL.
+    Computed by the C kernel when it is active; :func:`_top_levels_loop`
+    is the bit-identical reference.
     """
-    tl = np.zeros(graph.n)
-    w = graph.weights_array
+    # Deferred: repro.sched imports this module.
+    from ..sched.ckernel import CKERNEL_ACTIVE, levels_c
+
+    if CKERNEL_ACTIVE:
+        tl = np.empty(graph.n)
+        levels_c(graph, None, tl)
+        return tl
+    return _top_levels_loop(graph)
+
+
+def _top_levels_loop(graph: TaskGraph) -> np.ndarray:
+    """Top levels by a Python loop in topological order (the reference)."""
+    # Plain Python floats: the same IEEE additions as float64 arrays,
+    # without elementwise ndarray indexing.
+    tl = [0.0] * graph.n
+    w = graph.weights_list
     preds = graph.pred_indices
     for v in graph.topo_indices:
         best = 0.0
@@ -46,7 +62,25 @@ def top_levels(graph: TaskGraph) -> np.ndarray:
             if tl[p] > best:
                 best = tl[p]
         tl[v] = best + w[v]
-    return tl
+    return np.array(tl)
+
+
+def _alap_loop(graph: TaskGraph, dl: List[float]) -> List[float]:
+    """ALAP deadline propagation in place over ``dl`` (the reference).
+
+    ``dl`` holds each task's own deadline; every task ends up with the
+    tightest of it and ``dl[s] - w[s]`` over its successors ``s``.
+    """
+    w = graph.weights_list
+    succs = graph.succ_indices
+    for v in reversed(graph.topo_indices):
+        dv = dl[v]
+        for s in succs[v]:
+            latest = dl[s] - w[s]
+            if latest < dv:
+                dv = latest
+        dl[v] = dv
+    return dl
 
 
 def bottom_levels(graph: TaskGraph) -> np.ndarray:

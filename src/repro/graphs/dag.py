@@ -12,14 +12,15 @@ guides' advice: keep the hot loops on flat arrays, not dict lookups.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, \
-    Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, \
+    Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
 __all__ = ["TaskGraph", "CycleError"]
 
 NodeId = Hashable
+_B = TypeVar("_B")
 
 
 class CycleError(ValueError):
@@ -46,6 +47,7 @@ class TaskGraph:
     __slots__ = (
         "name", "_ids", "_index", "_weights", "_preds", "_succs",
         "_topo", "_n_edges", "_in_degrees", "_weights_list", "_succ_csr",
+        "_binding",
     )
 
     def __init__(self, weights: Mapping[NodeId, float],
@@ -85,6 +87,7 @@ class TaskGraph:
         self._in_degrees: Optional[Tuple[int, ...]] = None
         self._weights_list: Optional[Tuple[float, ...]] = None
         self._succ_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._binding: Any = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -235,6 +238,36 @@ class TaskGraph:
             offsets.setflags(write=False)
             self._succ_csr = (flat, offsets)
         return self._succ_csr
+
+    def binding(self, bind: Callable[["TaskGraph"], _B]) -> _B:
+        """Process-local memo of ``bind(self)``.
+
+        The C scheduler kernel (:mod:`repro.sched.ckernel`) keeps the
+        data addresses of this graph's constant arrays here, so each
+        graph is bound once per process.  Addresses mean nothing in
+        another process, so pickling drops the memo (see
+        :attr:`_CACHES`) and the receiving process binds again on first
+        use.
+        """
+        b = self._binding
+        if b is None:
+            b = self._binding = bind(self)
+        return b
+
+    #: Derived caches and the process-local binding.  Pickling drops
+    #: them, so a graph ships only its definition and the receiving
+    #: process rebuilds them on first use.
+    _CACHES = ("_in_degrees", "_weights_list", "_succ_csr", "_binding")
+
+    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
+        return None, {k: getattr(self, k) for k in self.__slots__
+                      if k not in self._CACHES}
+
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        for k in self._CACHES:
+            setattr(self, k, None)
+        for k, v in state[1].items():
+            setattr(self, k, v)
 
     # ------------------------------------------------------------------
     # Transformations

@@ -1,23 +1,45 @@
-"""Optional C accelerator for the list-scheduler event loop.
+"""Optional C accelerator for the planning layer.
 
-The reference event loop, :func:`repro.sched.eventloop.heapq_schedule`,
-runs on Python lists and ``heapq``.  This module replays the same loop
-over flat arrays — three array-backed binary min-heaps and a CSR
-successor walk — in ~100 lines of C, compiled on first use with the
-system C compiler and loaded through :mod:`ctypes`.  No third-party
-package is required: when no compiler is available (or compilation,
+The C source below has three routines, compiled on first use with the
+system C compiler and loaded through :mod:`ctypes`:
+
+* ``repro_list_schedule`` — the event loop of
+  :func:`repro.sched.eventloop.heapq_schedule` over flat arrays (three
+  array-backed binary min-heaps and a CSR successor walk), behind
+  :func:`schedule_kernel_c`;
+* ``repro_plan_schedule`` — the fused call per list schedule behind
+  :func:`plan_schedule_c`: the same event loop, then everything
+  :meth:`Schedule._init_arrays <repro.sched.schedule.Schedule>`
+  derives (per-processor order and bounds, busy cycles, last finish,
+  employed ids, internal gaps, makespan), ready for the private
+  constructor ``Schedule._adopt``;
+* ``repro_levels`` — ALAP deadlines and top levels in one pass each
+  over the successor CSR in topological order, behind
+  :func:`levels_c`.
+
+No third-party package is required.  ``REPRO_NO_CKERNEL`` gates all
+three together, and when no compiler is available (or compilation,
 loading, or the import-time self-test fails for any reason) the module
-degrades silently and the scheduler keeps the ``heapq`` loop.
+degrades silently to the Python references: the ``heapq`` loop with
+``Schedule.from_arrays``, and the loops of :mod:`repro.graphs.analysis`.
 
 Determinism: every heap holds strictly totally ordered entries, so the
 pop sequence of any correct min-heap is unique; the C heaps compare
-``(a, b, c)`` lexicographically on exact float64 values, and the only
-floating-point arithmetic is the same ``finish = time + w[v]`` IEEE-754
-double addition.  The kernel's output arrays are therefore *identical*
-to the ``heapq`` loop's (asserted by an import-time self-test here and
-by the differential suite in ``tests/sched/test_ckernel.py``).  The
-``REPRO_NO_CKERNEL`` gate therefore selects between bitwise-identical
-backends and can never change results, reports, or cache bytes.
+``(a, b, c)`` lexicographically on exact float64 values, and the event
+loop's only floating-point arithmetic is the same ``finish = time +
+w[v]`` IEEE-754 double addition.  The derive repeats
+``_init_arrays``'s subtractions and its sequential prefix sum in the
+same order, and the levels take exact minima and maxima.  Every array
+is therefore *identical* to the reference's (asserted by an
+import-time self-test here and by the differential suite in
+``tests/sched/test_ckernel.py``), so the gate selects between
+bitwise-identical backends and can never change results, reports, or
+cache bytes.
+
+Calls pass raw addresses (``c_void_p``).  The addresses of a graph's
+constant arrays are taken once per process and kept in
+:meth:`TaskGraph.binding <repro.graphs.dag.TaskGraph.binding>`, which
+pickling drops.
 
 The compiled object is cached under ``~/.cache/repro`` keyed by a hash
 of the C source, so each source revision compiles once per machine;
@@ -32,13 +54,17 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..graphs.analysis import _alap_loop, _top_levels_loop
+from ..graphs.dag import TaskGraph
 from .eventloop import heapq_schedule
+from .schedule import Schedule, same_kernel
 
-__all__ = ["CKERNEL_ACTIVE", "schedule_kernel_c"]
+__all__ = ["CKERNEL_ACTIVE", "levels_c", "plan_schedule_c",
+           "schedule_kernel_c"]
 
 # Backend selection only — both backends are bitwise-identical, so this
 # flag cannot affect results, reports, or cache bytes.
@@ -47,6 +73,7 @@ _DISABLED = bool(os.environ.get("REPRO_NO_CKERNEL"))  # repro: noqa[DET003]
 _SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef int64_t i64;
 
@@ -102,12 +129,14 @@ static void pop3(double *ha, i64 *hb, i64 *hc, i64 *size,
     }
 }
 
-/* The event loop of repro.sched.eventloop.heapq_schedule over array heaps. */
-int repro_list_schedule(i64 n, i64 n_processors,
-                        const double *keys, const double *w,
-                        const i64 *succ_flat, const i64 *succ_offsets,
-                        const i64 *in_degrees,
-                        double *starts, double *finishes, i64 *procs) {
+/* The event loop of repro.sched.eventloop.heapq_schedule over array
+ * heaps.  When seq is not NULL it receives the tasks in dispatch order. */
+static int event_loop(i64 n, i64 n_processors,
+                      const double *keys, const double *w,
+                      const i64 *succ_flat, const i64 *succ_offsets,
+                      const i64 *in_degrees,
+                      double *starts, double *finishes, i64 *procs,
+                      i64 *seq) {
     i64 heap_doubles = 2 * n + n_processors;
     i64 heap_ints = 2 * (2 * n + n_processors) + n;
     double *da = (double *)malloc((size_t)heap_doubles * sizeof(double));
@@ -145,6 +174,8 @@ int repro_list_schedule(i64 n, i64 n_processors,
             finishes[v] = finish;
             procs[v] = p;
             push3(q_a, q_b, q_c, &q_n, finish, v, p);
+            if (seq != NULL)
+                seq[scheduled] = v;
             scheduled++;
         }
         if (q_n == 0)
@@ -166,6 +197,156 @@ int repro_list_schedule(i64 n, i64 n_processors,
     free(da);
     free(ia);
     return 0;
+}
+
+int repro_list_schedule(i64 n, i64 n_processors,
+                        const double *keys, const double *w,
+                        const i64 *succ_flat, const i64 *succ_offsets,
+                        const i64 *in_degrees,
+                        double *starts, double *finishes, i64 *procs) {
+    return event_loop(n, n_processors, keys, w, succ_flat, succ_offsets,
+                      in_degrees, starts, finishes, procs, NULL);
+}
+
+/* Task a sorts after task b on one processor: (start, finish, index). */
+static int later(const double *starts, const double *finishes,
+                 i64 a, i64 b) {
+    if (starts[a] != starts[b]) return starts[a] > starts[b];
+    if (finishes[a] != finishes[b]) return finishes[a] > finishes[b];
+    return a > b;
+}
+
+/* The event loop followed by everything Schedule._init_arrays derives,
+ * with the same floating-point operations in the same order.
+ *   f  = [starts n | finishes n | makespan | busy P | last P
+ *         | gap lo, hi, len (3n capacity) | keys n]
+ *   ix = [n_gaps, n_employed | procs n | order n | bounds P+1
+ *         | gap bounds P+1 | employed ids P]
+ * The caller fills the keys; the gaps come back packed as
+ * lo[k], hi[k], len[k] from offset 2n+1+2P. */
+int repro_plan_schedule(i64 n, i64 n_processors, const double *w,
+                        const i64 *succ_flat, const i64 *succ_offsets,
+                        const i64 *in_degrees, double *f, i64 *ix) {
+    i64 P = n_processors;
+    double *starts = f, *finishes = f + n;
+    double *busy = f + 2 * n + 1, *last = busy + P;
+    double *gap_lo = last + P, *gap_hi = gap_lo + n, *gap_len = gap_hi + n;
+    const double *keys = gap_len + n;
+    i64 *procs = ix + 2, *order = procs + n, *bounds = order + n;
+    i64 *gap_bounds = bounds + P + 1, *employed = gap_bounds + P + 1;
+    i64 i, j, p, k = 0, e = 0;
+    double makespan, acc = 0.0;
+    i64 *seq = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
+    if (seq == NULL)
+        return -1;
+    if (event_loop(n, P, keys, w, succ_flat, succ_offsets, in_degrees,
+                   starts, finishes, procs, seq) != 0) {
+        free(seq);
+        return -1;
+    }
+
+    /* Per-processor order: a stable counting sort of the dispatch
+     * sequence by processor, then an insertion sort by (start, finish,
+     * index).  One processor's tasks are dispatched in start order, so
+     * only equal-start zero-weight tasks can move. */
+    for (p = 0; p <= P; p++)
+        bounds[p] = 0;
+    for (i = 0; i < n; i++)
+        bounds[procs[i] + 1]++;
+    for (p = 0; p < P; p++)
+        bounds[p + 1] += bounds[p];
+    for (p = 0; p < P; p++)
+        gap_bounds[p] = bounds[p];  /* fill cursors */
+    for (i = 0; i < n; i++) {
+        i64 v = seq[i];
+        order[gap_bounds[procs[v]]++] = v;
+    }
+    free(seq);
+    for (p = 0; p < P; p++) {
+        for (i = bounds[p] + 1; i < bounds[p + 1]; i++) {
+            i64 v = order[i];
+            for (j = i; j > bounds[p] && later(starts, finishes,
+                                               order[j - 1], v); j--)
+                order[j] = order[j - 1];
+            order[j] = v;
+        }
+    }
+
+    /* Busy cycles as differences of the sequential prefix sum of the
+     * sorted durations (np.cumsum), last finish in sorted order, the
+     * employed ids and the internal idle gaps. */
+    for (p = 0; p < P; p++) {
+        double before = acc, prev = 0.0;
+        gap_bounds[p] = k;
+        for (i = bounds[p]; i < bounds[p + 1]; i++) {
+            i64 v = order[i];
+            acc += finishes[v] - starts[v];
+            if (starts[v] > prev) {
+                gap_lo[k] = prev;
+                gap_hi[k] = starts[v];
+                gap_len[k] = starts[v] - prev;
+                k++;
+            }
+            prev = finishes[v];
+        }
+        busy[p] = acc - before;
+        if (bounds[p + 1] > bounds[p]) {
+            last[p] = finishes[order[bounds[p + 1] - 1]];
+            employed[e++] = p;
+        } else {
+            last[p] = 0.0;
+        }
+    }
+    gap_bounds[P] = k;
+    memmove(gap_lo + k, gap_hi, (size_t)k * sizeof(double));
+    memmove(gap_lo + 2 * k, gap_len, (size_t)k * sizeof(double));
+
+    makespan = n > 0 ? finishes[0] : 0.0;
+    for (i = 1; i < n; i++)
+        if (finishes[i] > makespan)
+            makespan = finishes[i];
+    f[2 * n] = makespan;
+    ix[0] = k;
+    ix[1] = e;
+    return 0;
+}
+
+/* ALAP deadlines and top levels over the successor CSR in topological
+ * order.  dl (prefilled with the graph deadline and any overrides) is
+ * propagated in place when not NULL; tl receives the top levels when
+ * not NULL.  The minima and maxima are exact, so the results equal
+ * the Python loops bit for bit. */
+void repro_levels(i64 n, const i64 *topo, const double *w,
+                  const i64 *succ_flat, const i64 *succ_offsets,
+                  double *dl, double *tl) {
+    i64 i, si;
+    if (dl != NULL) {
+        for (i = n - 1; i >= 0; i--) {
+            i64 v = topo[i];
+            double dv = dl[v];
+            for (si = succ_offsets[v]; si < succ_offsets[v + 1]; si++) {
+                i64 s = succ_flat[si];
+                double latest = dl[s] - w[s];
+                if (latest < dv)
+                    dv = latest;
+            }
+            dl[v] = dv;
+        }
+    }
+    if (tl != NULL) {
+        for (i = 0; i < n; i++)
+            tl[i] = 0.0;
+        for (i = 0; i < n; i++) {
+            i64 v = topo[i];
+            double t = tl[v] + w[v];
+            tl[v] = t;
+            for (si = succ_offsets[v]; si < succ_offsets[v + 1]; si++) {
+                i64 s = succ_flat[si];
+                if (t > tl[s])
+                    tl[s] = t;
+            }
+        }
+    }
 }
 """
 
@@ -205,12 +386,116 @@ def _compile_cached() -> Optional[str]:
     return so_path
 
 
-def _self_test(fn) -> bool:
-    """Differentially test the loaded kernel against the ``heapq`` loop.
+class _Binding(NamedTuple):
+    """A graph's constant kernel inputs, with their data addresses.
 
-    A fork–join graph on two processors exercises every code path:
-    ready-queue ties, a stall (three ready tasks, two processors), the
-    simultaneous-completion drain, and processor reuse.
+    Addresses are valid only in the process that took them (and in
+    processes ``fork``ed from it), so a binding lives in the graph's
+    process-local memo (:meth:`TaskGraph.binding`), which pickling
+    drops.
+    """
+
+    w: int
+    succ_flat: int
+    succ_offsets: int
+    in_degrees: int
+    topo: int
+    owned: Tuple[np.ndarray, np.ndarray]  # keeps in_degrees/topo alive
+
+
+def _bind(graph: TaskGraph) -> _Binding:
+    flat, offsets = graph.succ_csr
+    deg = np.array(graph.in_degrees, dtype=np.intp)
+    topo = np.array(graph.topo_indices, dtype=np.intp)
+    return _Binding(graph.weights_array.ctypes.data, flat.ctypes.data,
+                    offsets.ctypes.data, deg.ctypes.data, topo.ctypes.data,
+                    (deg, topo))
+
+
+def _address(a: np.ndarray) -> int:
+    """Data address of a writable C-contiguous array.
+
+    About four times cheaper than ``a.ctypes.data``.
+    """
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+def _wrap(lib: ctypes.CDLL) -> Tuple[Callable, Callable, Callable]:
+    """Python entry points over the three C routines of ``lib``."""
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    raw = lib.repro_list_schedule
+    raw.restype = ctypes.c_int
+    raw.argtypes = [i64, i64] + [ptr] * 8
+    raw_plan = lib.repro_plan_schedule
+    raw_plan.restype = ctypes.c_int
+    raw_plan.argtypes = [i64, i64] + [ptr] * 6
+    raw_levels = lib.repro_levels
+    raw_levels.restype = None
+    raw_levels.argtypes = [i64] + [ptr] * 6
+
+    def kernel(keys: np.ndarray, w: np.ndarray,
+               succ_flat: np.ndarray, succ_offsets: np.ndarray,
+               in_degrees: np.ndarray, n_processors: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = keys.shape[0]
+        starts = np.zeros(n)
+        finishes = np.zeros(n)
+        procs = np.zeros(n, dtype=np.intp)
+        rc = raw(n, n_processors, keys.ctypes.data, w.ctypes.data,
+                 succ_flat.ctypes.data, succ_offsets.ctypes.data,
+                 in_degrees.ctypes.data, starts.ctypes.data,
+                 finishes.ctypes.data, procs.ctypes.data)
+        if rc != 0:  # pragma: no cover - malloc failure
+            raise MemoryError("C scheduler kernel allocation failed")
+        return starts, finishes, procs
+
+    def plan(graph: TaskGraph, keys: np.ndarray,
+             n_processors: int) -> tuple:
+        b = graph.binding(_bind)
+        n, p = graph.n, n_processors
+        g = 2 * n + 1 + 2 * p  # first gap slot in f
+        f = np.empty(g + 4 * n)
+        f[g + 3 * n:] = keys
+        ix = np.empty(4 + 2 * n + 3 * p, dtype=np.intp)
+        rc = raw_plan(n, p, b.w, b.succ_flat, b.succ_offsets, b.in_degrees,
+                      _address(f), _address(ix))
+        if rc != 0:  # pragma: no cover - malloc failure
+            raise MemoryError("C scheduler kernel allocation failed")
+        k, e = ix[:2].tolist()
+        # Keep the used prefix only: no unused gap capacity, no keys.
+        f = f[:g + 3 * k].copy()
+        f.setflags(write=False)
+        ix.setflags(write=False)
+        q = 2 + 2 * n  # bounds
+        r = q + p + 1  # gap bounds
+        return (f[:n], f[n:2 * n], ix[2:2 + n], ix[2 + n:q], ix[q:r],
+                f[2 * n + 1:2 * n + 1 + p], f[2 * n + 1 + p:g],
+                tuple(ix[r + p + 1:r + p + 1 + e].tolist()),
+                f[g:g + k], f[g + k:g + 2 * k], f[g + 2 * k:], ix[r:r + p + 1],
+                float(f[2 * n]))
+
+    def levels(graph: TaskGraph, deadlines: Optional[np.ndarray],
+               top_levels: Optional[np.ndarray]) -> None:
+        b = graph.binding(_bind)
+        raw_levels(graph.n, b.topo, b.w, b.succ_flat, b.succ_offsets,
+                   None if deadlines is None else _address(deadlines),
+                   None if top_levels is None else _address(top_levels))
+
+    return kernel, plan, levels
+
+
+def _self_test(fn: Callable, plan: Optional[Callable] = None,
+               levels: Optional[Callable] = None) -> bool:
+    """Differentially test the loaded routines against the Python ones.
+
+    A fork–join graph on two processors exercises every code path of
+    the event loop ``fn`` against the ``heapq`` loop: ready-queue ties,
+    a stall (three ready tasks, two processors), the
+    simultaneous-completion drain, and processor reuse.  ``plan`` is
+    checked against ``Schedule.from_arrays`` on that graph, on a
+    zero-weight start tie on one processor, and with more processors
+    than tasks; ``levels`` against the Python ALAP and top-level loops,
+    with an override.
     """
     keys = np.array([0.0, 3.0, 1.0, 2.0, 4.0])
     w = np.array([2.0, 3.0, 2.0, 2.0, 1.0])
@@ -222,46 +507,50 @@ def _self_test(fn) -> bool:
     want = heapq_schedule(keys.tolist(), w.tolist(), succs,
                           in_degrees.tolist(), 2)
     got = fn(keys, w, succ_flat, succ_offsets, in_degrees, 2)
-    return all(np.array_equal(a, b) for a, b in zip(want, got))
+    if not all(np.array_equal(a, b) for a, b in zip(want, got)):
+        return False
+    fork_join = TaskGraph(dict(enumerate(w.tolist())),
+                          [(v, s) for v in range(5) for s in succs[v]])
+    if plan is not None:
+        tie = TaskGraph({"B": 3.0, "A": 0.0})
+        tie_keys = np.array([10.0, 1.0])
+        for graph, k, n_procs in ((fork_join, keys, 2), (tie, tie_keys, 1),
+                                  (tie, tie_keys, 3)):
+            ref = Schedule.from_arrays(
+                graph, n_procs, *heapq_schedule(
+                    k.tolist(), graph.weights_list, graph.succ_indices,
+                    graph.in_degrees, n_procs))
+            if not same_kernel(
+                    Schedule._adopt(graph, n_procs,
+                                    *plan(graph, k, n_procs)), ref):
+                return False
+    if levels is not None:
+        d = np.array([9.0, 9.0, 9.0, 9.0, 7.0])
+        want_d = np.array(_alap_loop(fork_join, d.tolist()))
+        tl = np.empty(5)
+        levels(fork_join, d, tl)
+        if d.tobytes() != want_d.tobytes() or \
+                tl.tobytes() != _top_levels_loop(fork_join).tobytes():
+            return False
+    return True
 
 
-def _load():
+def _load() -> Optional[Tuple[Callable, Callable, Callable]]:
     if _DISABLED:
         return None
     try:
-        path = _compile_cached()
-        lib = ctypes.CDLL(path)
-        raw = lib.repro_list_schedule
-        f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-        i64 = np.ctypeslib.ndpointer(dtype=np.intp, flags="C_CONTIGUOUS")
-        raw.restype = ctypes.c_int
-        raw.argtypes = [ctypes.c_int64, ctypes.c_int64,
-                        f64, f64, i64, i64, i64, f64, f64, i64]
-
-        def kernel(keys: np.ndarray, w: np.ndarray,
-                   succ_flat: np.ndarray, succ_offsets: np.ndarray,
-                   in_degrees: np.ndarray, n_processors: int
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-            n = keys.shape[0]
-            starts = np.zeros(n)
-            finishes = np.zeros(n)
-            procs = np.zeros(n, dtype=np.intp)
-            rc = raw(n, n_processors, keys, w, succ_flat, succ_offsets,
-                     in_degrees, starts, finishes, procs)
-            if rc != 0:  # pragma: no cover - malloc failure
-                raise MemoryError("C scheduler kernel allocation failed")
-            return starts, finishes, procs
-
-        if not _self_test(kernel):  # pragma: no cover - defends builds
+        routines = _wrap(ctypes.CDLL(_compile_cached()))
+        if not _self_test(*routines):  # pragma: no cover - defends builds
             return None
-        return kernel
+        return routines
     except Exception:  # pragma: no cover - no compiler, bad toolchain...
         return None
 
 
-_kernel = _load()
+_kernel, _plan, _levels = _load() or (None, None, None)
 
-#: True when :func:`schedule_kernel_c` dispatches to compiled code.
+#: True when the C routines (:func:`schedule_kernel_c`,
+#: :func:`plan_schedule_c`, :func:`levels_c`) dispatch to compiled code.
 CKERNEL_ACTIVE = _kernel is not None
 
 
@@ -269,7 +558,7 @@ def schedule_kernel_c(keys: np.ndarray, w: np.ndarray,
                       succ_flat: np.ndarray, succ_offsets: np.ndarray,
                       in_degrees: np.ndarray, n_processors: int
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the C array kernel; only callable when :data:`CKERNEL_ACTIVE`.
+    """Run the C event loop; only callable when :data:`CKERNEL_ACTIVE`.
 
     Returns the same ``(start, finish, processor)`` arrays, bit for
     bit, as :func:`repro.sched.eventloop.heapq_schedule` on the same
@@ -279,6 +568,37 @@ def schedule_kernel_c(keys: np.ndarray, w: np.ndarray,
         raise RuntimeError("C scheduler kernel is not available")
     return _kernel(np.ascontiguousarray(keys, dtype=np.float64),
                    np.ascontiguousarray(w, dtype=np.float64),
-                   succ_flat, succ_offsets,
+                   np.ascontiguousarray(succ_flat, dtype=np.intp),
+                   np.ascontiguousarray(succ_offsets, dtype=np.intp),
                    np.ascontiguousarray(in_degrees, dtype=np.intp),
                    n_processors)
+
+
+def plan_schedule_c(graph: TaskGraph, keys: np.ndarray,
+                    n_processors: int) -> tuple:
+    """One list schedule and its whole ``Schedule`` kernel, in one call.
+
+    Runs the event loop on ``keys`` (one per dense node index) and
+    derives everything :meth:`Schedule._init_arrays` computes, in the
+    argument order of :meth:`Schedule._adopt`.  The arrays are
+    read-only and byte-identical to ``Schedule.from_arrays`` over
+    :func:`~repro.sched.eventloop.heapq_schedule`'s arrays.
+    """
+    if _plan is None:  # pragma: no cover - guarded by callers
+        raise RuntimeError("C scheduler kernel is not available")
+    return _plan(graph, keys, n_processors)
+
+
+def levels_c(graph: TaskGraph, deadlines: Optional[np.ndarray],
+             top_levels: Optional[np.ndarray]) -> None:
+    """ALAP deadlines and top levels in one native call.
+
+    Both arguments, when given, are writable C-contiguous float64
+    vectors of length ``graph.n``.  ``deadlines`` is prefilled with the
+    graph deadline (overrides applied) and propagated in place;
+    ``top_levels`` receives the top levels.  Both equal the Python
+    loops of :mod:`repro.graphs.analysis` bit for bit.
+    """
+    if _levels is None:  # pragma: no cover - guarded by callers
+        raise RuntimeError("C scheduler kernel is not available")
+    _levels(graph, deadlines, top_levels)

@@ -14,7 +14,9 @@ from typing import Hashable, Mapping, Optional
 
 import numpy as np
 
+from ..graphs.analysis import _alap_loop, _top_levels_loop
 from ..graphs.dag import TaskGraph
+from .ckernel import CKERNEL_ACTIVE, levels_c
 
 __all__ = ["task_deadlines", "InfeasibleDeadlineError"]
 
@@ -49,41 +51,26 @@ def task_deadlines(graph: TaskGraph, deadline_cycles: float, *,
     """
     if deadline_cycles <= 0:
         raise ValueError(f"deadline must be positive, got {deadline_cycles}")
-    # The propagation runs on plain Python floats: elementwise ndarray
-    # indexing dominated this function's profile, and float64 list
-    # arithmetic is the identical IEEE operation.
-    dl = [float(deadline_cycles)] * graph.n
+    d = np.full(graph.n, float(deadline_cycles))
     if overrides:
         for task, value in overrides.items():
             if value <= 0:
                 raise ValueError(
                     f"override deadline for {task!r} must be positive")
             i = graph.index_of(task)  # raises KeyError for unknown tasks
-            dl[i] = min(dl[i], float(value))
+            d[i] = min(d[i], float(value))
 
-    w = graph.weights_list
-    succs = graph.succ_indices
-    for v in reversed(graph.topo_indices):
-        dv = dl[v]
-        for s in succs[v]:
-            latest = dl[s] - w[s]
-            if latest < dv:
-                dv = latest
-        dl[v] = dv
-    d = np.array(dl)
+    if CKERNEL_ACTIVE:
+        # One native call computes both vectors, bit-identical to the
+        # reference loops of repro.graphs.analysis.
+        tl = np.empty(graph.n) if check_feasible else None
+        levels_c(graph, d, tl)
+    else:
+        d = np.array(_alap_loop(graph, d.tolist()))
+        tl = _top_levels_loop(graph) if check_feasible else None
 
-    if check_feasible:
-        # Earliest finish = top level; computed inline to avoid a cycle
-        # with the analysis module at import time.
-        tl = [0.0] * graph.n
-        preds = graph.pred_indices
-        for v in graph.topo_indices:
-            best = 0.0
-            for p in preds[v]:
-                if tl[p] > best:
-                    best = tl[p]
-            tl[v] = best + w[v]
-        tl = np.array(tl)
+    if tl is not None:
+        # Earliest finish = top level.
         bad = np.nonzero(tl > d + 1e-9)[0]
         if bad.size:
             worst = int(bad[np.argmax(tl[bad] - d[bad])])

@@ -8,11 +8,13 @@ dense node index; lowest-numbered free processor first), so schedules
 are reproducible and "employed processors" is meaningful — tasks pack
 onto low-numbered processors instead of spreading across all of them.
 
-The event loop itself has one reference implementation,
-:func:`repro.sched.eventloop.heapq_schedule` (flat lists and ``heapq``),
-and one fast path, the ctypes C kernel in :mod:`repro.sched.ckernel`,
-used whenever it compiled and passed its import-time self-test.  Both
-return identical arrays.
+A schedule has one reference build,
+:func:`repro.sched.eventloop.heapq_schedule` (flat lists and ``heapq``)
+followed by :meth:`Schedule.from_arrays`, and one fast path, a single
+fused call into the ctypes C kernel (:mod:`repro.sched.ckernel`) that
+runs the event loop and derives the whole ``Schedule`` kernel.  The
+fast path runs whenever the kernel compiled and passed its import-time
+self-test.  Both produce byte-identical schedules.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from ..graphs.dag import TaskGraph
 from ..obs import ObsLog, live
-from .ckernel import CKERNEL_ACTIVE, schedule_kernel_c
+from .ckernel import CKERNEL_ACTIVE, plan_schedule_c
 from .eventloop import heapq_schedule
 from .priorities import PriorityPolicy, priority_keys
 from .schedule import Schedule
@@ -72,15 +74,12 @@ def _list_schedule(graph: TaskGraph, n_processors: int,
         deadlines = np.zeros(graph.n)
     keys = priority_keys(graph, deadlines, policy)
     if CKERNEL_ACTIVE:
-        # The C kernel replays heapq_schedule's event loop over flat
-        # array heaps; its pop order — and hence every array it
-        # returns — is identical.
-        succ_flat, succ_offsets = graph.succ_csr
-        arrays = schedule_kernel_c(
-            keys, graph.weights_array, succ_flat, succ_offsets,
-            np.asarray(graph.in_degrees, dtype=np.intp), n_processors)
-    else:
-        arrays = heapq_schedule(keys.tolist(), graph.weights_list,
-                                graph.succ_indices, graph.in_degrees,
-                                n_processors)
+        # One C call replays heapq_schedule's event loop over flat
+        # array heaps (identical pop order) and derives the whole
+        # Schedule kernel exactly as Schedule.from_arrays would.
+        return Schedule._adopt(graph, n_processors,
+                               *plan_schedule_c(graph, keys, n_processors))
+    arrays = heapq_schedule(keys.tolist(), graph.weights_list,
+                            graph.succ_indices, graph.in_degrees,
+                            n_processors)
     return Schedule.from_arrays(graph, n_processors, *arrays)

@@ -9,19 +9,25 @@ obtained by dividing by ``f``.  That lets the heuristics schedule once
 and sweep operating points cheaply.
 
 Internally a schedule is *array-native*: dense per-task ``starts`` /
-``finishes`` / ``procs`` vectors plus a per-processor CSR layout
-(``lexsort`` order + offset bounds) from which per-processor busy-cycle
-totals, last-finish times and **internal** idle-gap lengths are
-precomputed once at construction.  Internal gaps (the leading gap and
-the gaps between consecutive tasks of one processor) are frequency
--invariant in cycles; only the trailing gap up to the horizon depends on
-the operating point, which is what makes the one-shot DVS-ladder sweep
-of :func:`repro.core.batch.batch_energy_sweep` possible.
+``finishes`` / ``procs`` vectors plus a per-processor CSR layout (task
+order by processor, start, finish and index, plus offset bounds) from
+which per-processor busy-cycle totals, last-finish times and
+**internal** idle-gap lengths are precomputed once at construction.
+Internal gaps (the leading gap and the gaps between consecutive tasks
+of one processor) are frequency-invariant in cycles; only the trailing
+gap up to the horizon depends on the operating point, which is what
+makes the one-shot DVS-ladder sweep of
+:func:`repro.core.batch.batch_energy_sweep` possible.
+
+:meth:`Schedule._init_arrays` is the reference derive.  The C kernel's
+fused call (:func:`repro.sched.ckernel.plan_schedule_c`) returns the
+same arrays, byte for byte, and the private constructor
+``Schedule._adopt`` takes them as they are.
 
 :class:`Placement` objects are a *lazily materialized view*: the
-schedulers build schedules through :meth:`Schedule.from_arrays` without
-ever creating them, and callers that iterate placements (validation,
-rendering, the simulator) pay for the objects only on first access.
+schedulers build schedules without ever creating them, and callers that
+iterate placements (validation, rendering, the simulator) pay for the
+objects only on first access.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 
 from ..graphs.dag import TaskGraph
 
-__all__ = ["Placement", "Schedule"]
+__all__ = ["Placement", "Schedule", "same_kernel"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,14 +66,16 @@ class Schedule:
     placed exactly once, processors in range); use
     :func:`repro.sched.validate.validate_schedule` to check precedence
     and overlap invariants.  The schedulers use the zero-copy
-    :meth:`from_arrays` fast path instead.
+    :meth:`from_arrays` path, or, for list schedules on the C kernel,
+    ``_adopt``.
     """
 
     __slots__ = (
         "graph", "n_processors", "makespan",
         # dense per-task arrays (indexed by dense node index)
         "_starts", "_finish", "_procs",
-        # CSR layout: task order sorted by (proc, start) + offsets
+        # CSR layout: task order sorted by (proc, start, finish, index)
+        # + offsets
         "_order", "_bounds",
         # per-processor precomputations
         "_proc_busy", "_proc_last", "_employed", "_employed_ids",
@@ -94,15 +102,15 @@ class Schedule:
         if len(by_task) != graph.n:
             missing = set(graph.node_ids) - set(by_task)
             raise ValueError(f"unplaced tasks: {sorted(map(str, missing))[:5]}")
+        index_of = graph.index_of
         for lst in by_proc:
-            lst.sort(key=lambda p: p.start)
+            lst.sort(key=lambda p: (p.start, p.finish, index_of(p.task)))
 
         n = graph.n
         starts = np.empty(n)
         finishes = np.empty(n)
         procs = np.empty(n, dtype=np.intp)
         order = np.empty(n, dtype=np.intp)
-        index_of = graph.index_of
         k = 0
         for lst in by_proc:
             for pl in lst:
@@ -113,8 +121,7 @@ class Schedule:
                 order[k] = i
                 k += 1
         # The per-processor lists were built anyway: keep them as the
-        # already-materialized view (ties in start keep sequence order,
-        # exactly as the stable per-processor sort left them).
+        # already-materialized view.
         self._by_task = by_task
         self._by_proc = tuple(tuple(lst) for lst in by_proc)
         self._init_arrays(graph, n_processors, starts, finishes, procs, order)
@@ -153,16 +160,57 @@ class Schedule:
         self = cls.__new__(cls)
         self._by_task = None
         self._by_proc = None
-        # lexsort is stable: within one processor, equal starts keep
-        # dense-index order — the same order the schedulers emit.
-        order = np.lexsort((starts, procs))
+        # Within one processor: by start, then finish (a zero-weight
+        # task precedes a task starting at its instant), then dense
+        # index (lexsort is stable).
+        order = np.lexsort((finishes, starts, procs))
         self._init_arrays(graph, n_processors, starts, finishes, procs, order)
+        return self
+
+    @classmethod
+    def _adopt(cls, graph: TaskGraph, n_processors: int,
+               starts: np.ndarray, finishes: np.ndarray, procs: np.ndarray,
+               order: np.ndarray, bounds: np.ndarray, busy: np.ndarray,
+               last: np.ndarray, employed_ids: Tuple[int, ...],
+               gap_lo: np.ndarray, gap_hi: np.ndarray, gap_len: np.ndarray,
+               gap_bounds: np.ndarray, makespan: float) -> "Schedule":
+        """Adopt a complete, frozen kernel (the fused C call's output).
+
+        The arguments are exactly what :meth:`_init_arrays` derives from
+        ``(starts, finishes, procs, order)``; nothing is checked or
+        copied.
+        """
+        self = cls.__new__(cls)
+        self._by_task = None
+        self._by_proc = None
+        self.graph = graph
+        self.n_processors = n_processors
+        self._starts = starts
+        self._finish = finishes
+        self._procs = procs
+        self._order = order
+        self._bounds = bounds
+        self._proc_busy = busy
+        self._proc_last = last
+        self._employed = len(employed_ids)
+        self._employed_ids = employed_ids
+        self._gap_lo = gap_lo
+        self._gap_hi = gap_hi
+        self._gap_len = gap_len
+        self._gap_bounds = gap_bounds
+        self.makespan = makespan
         return self
 
     def _init_arrays(self, graph: TaskGraph, n_processors: int,
                      starts: np.ndarray, finishes: np.ndarray,
                      procs: np.ndarray, order: np.ndarray) -> None:
-        """Shared kernel: adopt dense arrays + (proc, start)-sorted order."""
+        """Shared kernel: adopt dense arrays + per-processor order.
+
+        ``order`` sorts the tasks by (processor, start, finish, index).
+        The fused C call (:func:`repro.sched.ckernel.plan_schedule_c`)
+        derives the same arrays with the same operations; this is the
+        reference.
+        """
         self.graph = graph
         self.n_processors = n_processors
         self._starts = starts
@@ -181,7 +229,7 @@ class Schedule:
         nonempty = bounds[1:] > bounds[:-1]
 
         # Busy cycles per processor: cumulative-sum differences over the
-        # (proc, start)-sorted duration vector.  Exact for the integer
+        # sorted duration vector.  Exact for the integer
         # cycle weights of every bundled workload.
         prefix = np.empty(n + 1)
         prefix[0] = 0.0
@@ -372,6 +420,9 @@ class Schedule:
         d = np.asarray(deadlines, dtype=float)
         if d.shape != self._finish.shape:
             raise ValueError("deadline vector has wrong length")
+        if d.size and d.min() > 0:
+            # The common case, and the same float as the chain below.
+            return float((self._finish / d).max())
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(d > 0, self._finish / np.where(d > 0, d, 1.0),
                               np.where(self._finish > 0, np.inf, 0.0))
@@ -381,3 +432,29 @@ class Schedule:
         return (f"Schedule({self.graph.name!r}, procs={self.n_processors}, "
                 f"employed={self.employed_processors}, "
                 f"makespan={self.makespan:g})")
+
+
+#: The kernel arrays of a :class:`Schedule`.
+_KERNEL_ARRAYS = ("_starts", "_finish", "_procs", "_order", "_bounds",
+                  "_proc_busy", "_proc_last", "_gap_lo", "_gap_hi",
+                  "_gap_len", "_gap_bounds")
+
+
+def same_kernel(a: Schedule, b: Schedule) -> bool:
+    """Whether two schedules hold byte-identical kernels.
+
+    Every kernel array must match in dtype, shape and bytes (so ``0.0``
+    and ``-0.0`` differ), and so must the processor count, the employed
+    ids and the makespan's bits.
+    """
+    if a.n_processors != b.n_processors \
+            or a.employed_processors != b.employed_processors \
+            or a.employed_processor_ids != b.employed_processor_ids \
+            or a.makespan.hex() != b.makespan.hex():
+        return False
+    for name in _KERNEL_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        if x.dtype != y.dtype or x.shape != y.shape \
+                or x.tobytes() != y.tobytes():
+            return False
+    return True

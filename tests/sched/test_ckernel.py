@@ -14,20 +14,31 @@ When the kernel could not be built (no system compiler) every
 differential test is skipped; the gate tests still run.
 """
 
+import multiprocessing
 import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.analysis import critical_path_length
+from repro.graphs.analysis import (
+    _alap_loop,
+    _top_levels_loop,
+    critical_path_length,
+    top_levels,
+)
+from repro.graphs.dag import TaskGraph
 from repro.graphs.generators import stg_random_graph
 from repro.sched import ckernel
-from repro.sched.deadlines import task_deadlines
+from repro.sched import deadlines as deadlines_mod
+from repro.sched.deadlines import InfeasibleDeadlineError, task_deadlines
 from repro.sched.eventloop import heapq_schedule
 from repro.sched.list_scheduler import list_schedule
 from repro.sched.priorities import priority_keys
+from repro.sched.schedule import Schedule, same_kernel
 
 needs_ckernel = pytest.mark.skipif(
     not ckernel.CKERNEL_ACTIVE,
@@ -153,3 +164,168 @@ class TestGate:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0 and out.stdout.strip() == "ok"
+
+
+# ----------------------------------------------------------------------
+# The fused planning call and the levels call against their references
+# ----------------------------------------------------------------------
+
+@st.composite
+def small_dags(draw):
+    """Small DAGs with many weight ties, zero weights included."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    weights = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 2.5e6]),
+                            min_size=n, max_size=n))
+    # Edges follow a drawn topological order, so it differs from the
+    # dense index order.
+    topo = draw(st.permutations(range(n)))
+    pairs = [(topo[a], topo[b]) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          max_size=2 * n)) if pairs else []
+    return TaskGraph(dict(enumerate(weights)), edges)
+
+
+def _reference_schedule(graph, keys, n_procs):
+    arrays = heapq_schedule(keys.tolist(), graph.weights_list,
+                            graph.succ_indices, graph.in_degrees, n_procs)
+    return Schedule.from_arrays(graph, n_procs, *arrays)
+
+
+def _fused_schedule(graph, keys, n_procs):
+    return Schedule._adopt(graph, n_procs,
+                           *ckernel.plan_schedule_c(graph, keys, n_procs))
+
+
+@needs_ckernel
+class TestFusedPlanMatchesReference:
+    @given(small_dags(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_bytes_identical(self, g, data):
+        keys = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1.0, 5.0, 7.5]),
+            min_size=g.n, max_size=g.n)))
+        n_procs = data.draw(st.integers(min_value=1, max_value=g.n + 3))
+        fused = _fused_schedule(g, keys, n_procs)
+        assert same_kernel(fused, _reference_schedule(g, keys, n_procs))
+        for name in ("start_times", "finish_times", "task_processors",
+                     "proc_busy_cycles", "proc_last_finish"):
+            assert not getattr(fused, name).flags.writeable
+
+    @given(instances())
+    @settings(max_examples=40, deadline=None)
+    def test_list_schedule_identical_on_stg(self, inst):
+        g, n_procs, d = inst
+        keys = priority_keys(g, d)
+        assert same_kernel(list_schedule(g, n_procs, d),
+                           _reference_schedule(g, keys, n_procs))
+
+    def test_one_task_graph(self):
+        g = TaskGraph({"only": 4.0})
+        for n_procs in (1, 3):
+            keys = np.array([1.0])
+            assert same_kernel(_fused_schedule(g, keys, n_procs),
+                               _reference_schedule(g, keys, n_procs))
+
+    def test_all_zero_weights(self):
+        g = TaskGraph({i: 0.0 for i in range(6)}, [(0, 3), (1, 3)])
+        keys = np.array([3.0, 2.0, 1.0, 0.0, 2.0, 1.0])
+        for n_procs in (1, 2, 8):
+            assert same_kernel(_fused_schedule(g, keys, n_procs),
+                               _reference_schedule(g, keys, n_procs))
+
+
+@needs_ckernel
+class TestLevelsMatchReference:
+    @given(small_dags())
+    @settings(max_examples=100, deadline=None)
+    def test_top_levels_identical(self, g):
+        tl = top_levels(g)
+        assert tl.tobytes() == _top_levels_loop(g).tobytes()
+
+    @given(small_dags(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_deadlines_identical(self, g, data):
+        deadline = data.draw(st.sampled_from([0.5, 4.0, 9.0, 1e7]))
+        ids = list(g.node_ids)
+        chosen = data.draw(st.lists(st.sampled_from(ids), unique=True,
+                                    max_size=3))
+        overrides = {v: data.draw(st.sampled_from([0.25, 3.0, 20.0]))
+                     for v in chosen}
+        check = data.draw(st.booleans())
+        with pytest.MonkeyPatch.context() as mp:
+            outcomes = []
+            for active in (True, False):
+                mp.setattr(deadlines_mod, "CKERNEL_ACTIVE", active)
+                try:
+                    d = task_deadlines(g, deadline, overrides=overrides,
+                                       check_feasible=check)
+                    outcomes.append(("ok", d.tobytes()))
+                except InfeasibleDeadlineError as exc:
+                    outcomes.append(("infeasible", str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_native_levels_fill_both_vectors(self):
+        g = stg_random_graph(60, 3).scaled(3.1e6)
+        deadline = 2.0 * critical_path_length(g)
+        d = np.full(g.n, deadline)
+        tl = np.empty(g.n)
+        ckernel.levels_c(g, d, tl)
+        want = np.array(_alap_loop(g, [deadline] * g.n))
+        assert d.tobytes() == want.tobytes()
+        assert tl.tobytes() == _top_levels_loop(g).tobytes()
+
+    def test_infeasible_message_identical(self, monkeypatch):
+        g = stg_random_graph(40, 2).scaled(3.1e6)
+        deadline = 0.5 * critical_path_length(g)
+        with pytest.raises(InfeasibleDeadlineError) as native:
+            task_deadlines(g, deadline)
+        monkeypatch.setattr(deadlines_mod, "CKERNEL_ACTIVE", False)
+        with pytest.raises(InfeasibleDeadlineError) as python:
+            task_deadlines(g, deadline)
+        assert str(native.value) == str(python.value)
+
+    def test_self_test_covers_every_routine(self):
+        assert ckernel._self_test(ckernel._kernel, ckernel._plan,
+                                  ckernel._levels)
+
+
+# ----------------------------------------------------------------------
+# The per-graph binding never leaves its process
+# ----------------------------------------------------------------------
+
+def _schedule_in_child(payload):
+    """Unpickle a graph in a fresh interpreter and schedule it."""
+    g = pickle.loads(payload)
+    assert g._binding is None
+    d = task_deadlines(g, 2.0 * critical_path_length(g))
+    s = list_schedule(g, 3, d)
+    return (s.start_times, s.finish_times, s.task_processors,
+            s.proc_busy_cycles, s.internal_gap_cycles, s.makespan)
+
+
+@needs_ckernel
+class TestBindingStaysInProcess:
+    def test_pickle_drops_binding(self):
+        g = stg_random_graph(30, 4).scaled(3.1e6)
+        d = task_deadlines(g, 2.0 * critical_path_length(g))
+        before = list_schedule(g, 3, d)
+        assert g._binding is not None
+        restored = pickle.loads(pickle.dumps(g))
+        assert restored._binding is None
+        # Only the definition ships; derived caches are rebuilt.
+        assert restored._succ_csr is None and restored._in_degrees is None
+        after = list_schedule(restored, 3, d)
+        assert same_kernel(before, after)
+
+    def test_spawned_process_schedules_identically(self):
+        g = stg_random_graph(30, 4).scaled(3.1e6)
+        d = task_deadlines(g, 2.0 * critical_path_length(g))
+        s = list_schedule(g, 3, d)
+        assert g._binding is not None
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            got = pool.submit(_schedule_in_child, pickle.dumps(g)).result(
+                timeout=120)
+        want = (s.start_times, s.finish_times, s.task_processors,
+                s.proc_busy_cycles, s.internal_gap_cycles, s.makespan)
+        assert pickle.dumps(got) == pickle.dumps(want)

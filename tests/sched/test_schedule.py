@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.graphs.dag import TaskGraph
+from repro.sched import list_scheduler
+from repro.sched.ckernel import CKERNEL_ACTIVE
+from repro.sched.list_scheduler import list_schedule
 from repro.sched.schedule import Placement, Schedule
+from repro.sched.validate import validate_schedule
 
 
 @pytest.fixture
@@ -115,6 +120,23 @@ class TestRequiredFrequency:
         d = np.zeros(diamond.n)
         assert two_proc_schedule.required_reference_frequency(d) == np.inf
 
+    def test_positive_deadlines_match_the_general_chain(
+            self, two_proc_schedule, diamond):
+        """The all-positive fast path returns the chain's exact float."""
+        rng = np.random.default_rng(7)
+        finish = two_proc_schedule.finish_times
+        for _ in range(50):
+            d = rng.uniform(0.1, 20.0, diamond.n)
+            want = float(np.where(d > 0, finish / d, np.inf).max())
+            got = two_proc_schedule.required_reference_frequency(d)
+            assert got.hex() == want.hex()
+
+    def test_one_zero_deadline_takes_the_general_chain(
+            self, two_proc_schedule, diamond):
+        d = np.full(diamond.n, 10.0)
+        d[diamond.index_of("b")] = 0.0  # b finishes at 3 > 0
+        assert two_proc_schedule.required_reference_frequency(d) == np.inf
+
 
 class TestGapTolerance:
     def test_horizon_equal_to_finish_at_large_scale(self, diamond):
@@ -134,3 +156,40 @@ class TestGapTolerance:
         assert s.idle_gaps(0, wobbled) == []
         # And epsilon above: still no spurious sliver gap.
         assert s.idle_gaps(0, finish * (1.0 + 1e-12)) == []
+
+
+class TestZeroWeightStartTie:
+    """A zero-weight task and a task started at its instant on one
+    processor: the per-processor order is (start, finish, index), so
+    the zero-weight task comes first whatever the dense indices."""
+
+    @pytest.fixture
+    def graph(self):
+        return TaskGraph({"B": 3.0, "A": 0.0})
+
+    def _check(self, s):
+        assert s.tasks_on(0).tolist() == [1, 0]  # A, then B
+        assert [pl.task for pl in s.processor_tasks(0)] == ["A", "B"]
+        assert s.proc_last_finish.tolist() == [3.0]
+        assert s.proc_busy_cycles.tolist() == [3.0]
+        assert s.gap_lengths(0, 10.0).tolist() == [7.0]
+        assert s.idle_gaps(0, 10.0) == [(3.0, 10.0)]
+        validate_schedule(s)
+
+    @pytest.mark.parametrize("native", [True, False])
+    def test_list_schedule(self, graph, monkeypatch, native):
+        if native and not CKERNEL_ACTIVE:
+            pytest.skip("C scheduler kernel unavailable")
+        monkeypatch.setattr(list_scheduler, "CKERNEL_ACTIVE", native)
+        s = list_schedule(graph, 1, np.array([10.0, 1.0]))
+        assert s.start_times.tolist() == [0.0, 0.0]
+        self._check(s)
+
+    def test_from_arrays(self, graph):
+        self._check(Schedule.from_arrays(
+            graph, 1, np.zeros(2), np.array([3.0, 0.0]),
+            np.zeros(2, dtype=np.intp)))
+
+    def test_placement_constructor(self, graph):
+        self._check(Schedule(graph, 1, [Placement("B", 0, 0.0, 3.0),
+                                        Placement("A", 0, 0.0, 0.0)]))
