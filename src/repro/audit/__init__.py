@@ -9,7 +9,8 @@ layer that guards against exactly that:
 - :mod:`repro.audit.report` — :class:`AuditLog` (per-phase counters +
   violations, strict/collect modes) and the violation types.
 - :mod:`repro.audit.invariants` — the checks themselves: structural
-  schedule validation, deadline satisfaction at the chosen operating
+  schedule validation, bytewise verification of every width-alias
+  serve of the plan cache, deadline satisfaction at the chosen operating
   point, energy-conservation invariants cross-checked against an
   independently recomputed per-processor integral, and the bitwise
   cross-check of every batched sweep row against the scalar evaluator.
@@ -24,6 +25,7 @@ results* — byte-identical outputs, verified by ``tests/audit``.
 
 from .corpus import CorpusAudit, CorpusRow, audit_corpus
 from .invariants import (
+    audit_alias,
     audit_energy,
     audit_intermediate_schedule,
     audit_result,
@@ -37,6 +39,7 @@ __all__ = [
     "AuditViolation",
     "AuditViolationError",
     "audit_intermediate_schedule",
+    "audit_alias",
     "audit_energy",
     "audit_result",
     "audit_sweep",

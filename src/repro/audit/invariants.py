@@ -4,7 +4,9 @@ Three layers, all side-effect-free on the results they inspect:
 
 * **Structure** — every intermediate schedule the heuristics build is
   re-checked with :func:`repro.sched.validate.validate_schedule`
-  (placement/precedence/overlap invariants).
+  (placement/precedence/overlap invariants), and every schedule the
+  plan cache serves by width aliasing is compared bytewise with a
+  fresh build of the requested count (:func:`audit_alias`).
 * **Deadlines** — the finally chosen schedule meets every per-task
   deadline *at the chosen operating point* (not merely at full speed).
 * **Energy conservation** — the reported :class:`EnergyBreakdown` has
@@ -39,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "reference_energy",
     "audit_intermediate_schedule",
+    "audit_alias",
     "audit_energy",
     "audit_sweep",
     "audit_result",
@@ -102,6 +105,27 @@ def audit_intermediate_schedule(schedule: Schedule, log: AuditLog,
         log.fail("structure", context, str(exc))
         return
     log.passed()
+
+
+def audit_alias(served: Schedule, fresh: Schedule, log: AuditLog,
+                context: str) -> None:
+    """A width-alias serve equals a fresh build of the requested count.
+
+    ``served`` is the stall-free schedule the plan cache hands out for
+    a wider count; ``fresh`` is that count built from scratch.  Start
+    times, finish times and processor assignments must match bytewise.
+    """
+    diffs = [name for name in ("start_times", "finish_times",
+                               "task_processors")
+             if getattr(served, name).tobytes()
+             != getattr(fresh, name).tobytes()]
+    if diffs:
+        log.fail("aliasing", context,
+                 f"served schedule (built on {served.n_processors} "
+                 f"processors) differs from a fresh build on "
+                 f"{fresh.n_processors} in {', '.join(diffs)}")
+    else:
+        log.passed()
 
 
 def _close(a: float, b: float, scale: float) -> bool:

@@ -41,8 +41,8 @@ class AuditViolation:
     """One failed invariant check.
 
     Attributes:
-        kind: the invariant family — ``"structure"``, ``"deadline"``,
-            ``"energy"`` or ``"dominance"``.
+        kind: the invariant family — ``"structure"``, ``"aliasing"``,
+            ``"deadline"``, ``"energy"`` or ``"dominance"``.
         context: where it happened, e.g. ``"robot[n=4]"`` or
             ``"robot/LAMPS+PS"``.
         message: the specific violated condition.

@@ -10,7 +10,7 @@ from .lamps import energy_vs_processors, lamps, lamps_ps, lamps_search
 from .limits import limit_mf, limit_sf
 from .multifreq import MultiFreqResult, per_processor_stretch
 from .pareto import FrontPoint, energy_deadline_front, knee_point
-from .plans import PlanCache, PlannedSweep, plan_scope, sweep_energies
+from .plans import PlanCache, PlannedSweep, sweep_energies
 from .platform import Platform, default_platform
 from .results import Heuristic, InfeasibleScheduleError, ScheduleResult
 from .sns import schedule_and_stretch, sns, sns_ps
@@ -31,7 +31,6 @@ __all__ = [
     "batch_energy_sweep",
     "PlanCache",
     "PlannedSweep",
-    "plan_scope",
     "sweep_energies",
     "Platform",
     "default_platform",

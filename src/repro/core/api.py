@@ -74,9 +74,9 @@ def schedule(
             result.  Ignored by the LIMIT bounds.
         plans: a shared per-instance
             :class:`~repro.core.plans.PlanCache` so multiple heuristic
-            runs on the same instance build each schedule once
-            (ignored under strict/audit — see
-            :func:`~repro.core.plans.plan_scope`).
+            runs on the same instance build each schedule once.  Strict
+            and audited runs use it too, verifying every width-alias
+            serve against a fresh build.
 
     Returns:
         A :class:`ScheduleResult` with the chosen processor count,
@@ -140,8 +140,8 @@ def evaluate_all(
     share one per-instance :class:`~repro.core.plans.PlanCache` (pass
     ``plans`` to share it wider), so overlapping schedule
     configurations — e.g. S&S's full-spread build and LAMPS's upper
-    probes — are built once; under strict/audit every search falls back
-    to its own fresh cache (see :func:`~repro.core.plans.plan_scope`).
+    probes — are built once, also under strict/audit (which then
+    verify every width-alias serve against a fresh build).
     """
     chosen = heuristics or tuple(Heuristic)
     shared = plans if plans is not None else PlanCache()

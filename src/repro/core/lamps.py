@@ -17,12 +17,22 @@ Phase 2
 LAMPS+PS evaluates, for every processor count, the whole feasible
 frequency range with the shutdown gap rule (Fig. 8's pseudocode) instead
 of only the maximally stretched point.
+
+Every LAMPS/S&S planning rule lives here once: phase 1
+(:func:`_min_count`), the processor-count walk with its plateau and
+anomaly rules (:func:`_walk_counts`), the ladder points a fixed
+schedule is evaluated at (:func:`_candidate_points`) and the
+cross-count selection (:func:`_best_candidate`).
+:func:`lamps_search`, :func:`energy_vs_processors`,
+:func:`repro.core.sns.schedule_and_stretch` and the batched suite
+(:mod:`repro.core.suite`) are compositions of these.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, List, Mapping, Optional, Tuple, Union
+from typing import (Callable, Hashable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from ..audit.invariants import audit_energy, audit_result
 from ..audit.report import AuditLog
@@ -34,12 +44,175 @@ from ..sched.list_scheduler import list_schedule
 from ..sched.priorities import PriorityPolicy
 from ..sched.schedule import Schedule
 from .energy import EnergyBreakdown
-from .plans import PlanCache, PlannedSweep, plan_scope, sweep_energies
+from .plans import PlanCache, PlannedSweep, sweep_energies
 from .platform import Platform, default_platform
 from .results import Heuristic, InfeasibleScheduleError, ScheduleResult
 from .stretch import feasible_points, stretch_point
 
 __all__ = ["lamps", "lamps_ps", "lamps_search", "energy_vs_processors"]
+
+#: ``n -> schedule on n processors`` (a :class:`PlanCache` lookup).
+Builder = Callable[[int], Schedule]
+#: ``schedule -> required reference-frequency ratio`` (memoized).
+Ratio = Callable[[Schedule], float]
+_Obs = Union[ObsLog, NullObs]
+
+
+def _count_anomaly(o: _Obs, log: Optional[AuditLog]) -> None:
+    o.count("lamps.anomaly_retries")
+    if log is not None:
+        log.anomaly_retries += 1
+
+
+def _min_count(graph: TaskGraph, deadline_cycles: float, sched: Builder,
+               ratio: Ratio, o: _Obs, log: Optional[AuditLog]) -> int:
+    """Phase 1: the least processor count feasible at full speed.
+
+    Binary-searches ``[ceil(work / D), |V|]``.  The search assumes
+    feasibility is monotone in the processor count; scheduling
+    anomalies (more processors -> longer makespan) can break that, so
+    the result is verified and advanced linearly until feasible —
+    phase 2 must never start from an infeasible count.  Callers make
+    sure ``|V|`` itself is feasible, so the advance terminates.
+    """
+    def feasible(n: int) -> bool:
+        return ratio(sched(n)) <= 1.0 + 1e-9
+
+    lo = max(1, math.ceil(float(graph.weights_array.sum()) / deadline_cycles))
+    hi = graph.n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        o.count("lamps.binary_search_iterations")
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    while lo < graph.n and not feasible(lo):
+        lo += 1
+        _count_anomaly(o, log)
+    return lo
+
+
+def _walk_counts(sched: Builder, ratio: Ratio, first: int, last: int,
+                 fmax: float, o: _Obs, log: Optional[AuditLog], *,
+                 plateau: bool = True
+                 ) -> Iterator[Tuple[int, Schedule, Optional[float]]]:
+    """Phase 2's processor-count walk, ``first..last`` inclusive.
+
+    Yields ``(n, schedule, f_req)`` per count, with ``f_req = None``
+    for a count a scheduling anomaly made infeasible (counted as an
+    anomaly retry; the walk keeps going — a later count can recover).
+    With ``plateau`` on, the walk stops after the first *feasible*
+    count whose makespan does not improve on the previous count's.
+    Every makespan is tracked, infeasible counts included: comparing a
+    later feasible count against a makespan from before an anomalous
+    stretch would end the walk one count early.
+
+    The walk reads only makespans and required frequencies, never
+    energy, so a caller can plan every candidate's ladder sweep first
+    and evaluate them all in one batched broadcast.
+    """
+    prev_makespan = math.inf
+    for n in range(first, last + 1):
+        s = sched(n)
+        f_req = ratio(s) * fmax
+        if f_req > fmax * (1.0 + 1e-9):
+            _count_anomaly(o, log)
+            yield n, s, None
+        else:
+            yield n, s, f_req
+            if plateau and s.makespan >= prev_makespan - 1e-9:
+                return  # more processors no longer shorten the schedule
+        prev_makespan = s.makespan
+
+
+def _candidate_points(
+        schedule: Schedule, f_req: float,
+        platform: Platform, deadline_seconds: float,
+        sleep: Optional[SleepModel],
+        log: Optional[AuditLog] = None,
+        o: Optional[_Obs] = None,
+) -> Tuple[OperatingPoint, ...]:
+    """The ladder points a search evaluates for a fixed schedule.
+
+    Without PS: the single maximally stretched point (the paper
+    stretches to finish "as close as possible to the deadline").  With
+    PS: the whole feasible range (Fig. 8's inner loop).  Feasibility
+    checks, obs counters and audit counters all happen here — energy
+    does not enter the control flow.
+
+    Raises:
+        InfeasibleScheduleError: no ladder point meets ``f_req`` (e.g.
+            float round-off pushed it marginally above ``fmax``).
+    """
+    o = o if o is not None else live(None)
+    if sleep is None:
+        try:
+            points: Tuple[OperatingPoint, ...] = (
+                stretch_point(platform.ladder, f_req),)
+        except ValueError as exc:
+            raise InfeasibleScheduleError(
+                f"{schedule.graph.name or 'graph'}: needs "
+                f"{f_req / 1e9:.6g} GHz, ladder tops out at "
+                f"{platform.fmax / 1e9:.6g} GHz "
+                f"(deadline window {deadline_seconds:.6g} s)") from exc
+    else:
+        points = feasible_points(platform.ladder, f_req)
+        if not points:
+            raise InfeasibleScheduleError(
+                f"{schedule.graph.name or 'graph'}: no feasible operating "
+                f"point — needs {f_req / 1e9:.6g} GHz, ladder tops out at "
+                f"{platform.fmax / 1e9:.6g} GHz "
+                f"(deadline window {deadline_seconds:.6g} s)")
+    o.count("core.operating_points_evaluated", len(points))
+    if log is not None:
+        log.operating_points_evaluated += len(points)
+    return points
+
+
+def _select_best(
+        breakdowns: Sequence[EnergyBreakdown],
+        points: Sequence[OperatingPoint],
+) -> Tuple[EnergyBreakdown, OperatingPoint]:
+    """The least-energy (energy, point) pair; ties keep the first.
+
+    The tie-break is load-bearing for byte identity: ``min`` keeps the
+    earliest minimal candidate, exactly like the historical per-point
+    loop, so every path picks the same point.
+    """
+    return min(zip(breakdowns, points), key=lambda c: c[0].total)
+
+
+def _best_candidate(
+        energies: Sequence[Sequence[EnergyBreakdown]],
+        sweeps: Sequence[PlannedSweep], order: Sequence[int], *,
+        spread: Optional[int] = None, greedy: bool = False,
+) -> Tuple[EnergyBreakdown, OperatingPoint, int]:
+    """The cross-count selection: ``(energy, point, sweep index)``.
+
+    ``order`` lists the walk's sweep indices in ascending processor
+    count, ``energies[i]`` being the evaluated ladder of ``sweeps[i]``.
+    Each candidate contributes its best ladder point; the earlier count
+    wins ties.  ``greedy`` (the phase-2 ablation) stops at the first
+    energy increase.  ``spread`` is the fully spread +PS candidate
+    (Fig. 8's ``N_max``, the S&S+PS schedule): long gaps sleep cheaply,
+    so it can beat every packed count, but it only displaces a strictly
+    worse winner — also after a greedy stop.
+    """
+    best: Optional[Tuple[EnergyBreakdown, OperatingPoint, int]] = None
+    for i in order:
+        energy, point = _select_best(energies[i], sweeps[i].points)
+        if best is None or energy.total < best[0].total:
+            best = (energy, point, i)
+        elif greedy and energy.total > best[0].total:
+            break
+    if spread is not None:
+        energy, point = _select_best(energies[spread],
+                                     sweeps[spread].points)
+        if best is None or energy.total < best[0].total:
+            best = (energy, point, spread)
+    assert best is not None  # the walk always yields a feasible count
+    return best
 
 
 def lamps_search(
@@ -64,11 +237,11 @@ def lamps_search(
             :func:`repro.core.sns.schedule_and_stretch`.
         shutdown: enable the PS extension.
         phase2: ``"linear"`` (the paper's choice — robust to local
-            minima) or ``"binary"``-style early stopping at the first
-            energy increase (the ablation showing why linear is needed).
-        strict: validate every intermediate schedule and the energy
-            invariants of the final result (no-op on the returned
-            values; violations raise
+            minima) or ``"greedy"`` early stopping at the first energy
+            increase (the ablation showing why linear is needed).
+        strict: validate every intermediate schedule, every width-alias
+            serve and the energy invariants of the final result (no-op
+            on the returned values; violations raise
             :class:`~repro.audit.report.AuditViolationError`).
         audit: an :class:`~repro.audit.report.AuditLog` to record
             counters and violations into (implies the strict checks;
@@ -77,19 +250,14 @@ def lamps_search(
             binary-search iterations, anomaly retries and operating
             points evaluated (no effect on the result).
         plans: a shared per-instance :class:`~repro.core.plans.PlanCache`
-            (e.g. from :func:`~repro.core.api.evaluate_all`); ignored
-            under strict/audit, which replay the historical per-call
-            cache exactly (see :func:`~repro.core.plans.plan_scope`).
+            (e.g. from :func:`~repro.core.api.evaluate_all`), also
+            under strict/audit; a fresh one when omitted.
 
-    Phase 2 is organised as a plan/finish split: the processor-count
-    walk plans every candidate's ladder points (control flow is energy
-    -independent — the plateau break reads only makespans), one
-    :func:`~repro.core.plans.sweep_energies` broadcast evaluates every
-    candidate's full ladder in a single batched kernel call, and the
-    finish replays the historical selection (first-minimum ties, the
-    greedy ablation's energy-increase break, the +PS full-spread
-    displacement) over the precomputed energies — bitwise-identical to
-    the historical interleaved loop.
+    Phase 2 plans first and evaluates once: the
+    :func:`_walk_counts` walk collects every candidate's ladder sweep
+    (the plateau stop reads only makespans), one
+    :func:`~repro.core.plans.sweep_energies` broadcast evaluates them
+    all, and :func:`_best_candidate` selects over the results.
 
     Raises:
         InfeasibleScheduleError: the deadline cannot be met at full
@@ -99,7 +267,7 @@ def lamps_search(
         raise ValueError(f"phase2 must be 'linear' or 'greedy', got {phase2!r}")
     platform = platform or default_platform()
     log = audit if audit is not None else (AuditLog() if strict else None)
-    plans = plan_scope(plans, log)
+    plans = plans if plans is not None else PlanCache()
     d = plans.deadline_vector(graph, deadline_cycles,
                               overrides=deadline_overrides)
     deadline_seconds = platform.seconds(deadline_cycles)
@@ -113,117 +281,43 @@ def lamps_search(
         return plans.schedule(graph, n, d, policy=policy, obs=obs,
                               log=log, build=list_schedule)
 
-    def feasible(n: int) -> bool:
-        return plans.ratio(sched(n), d) <= 1.0 + 1e-9
+    def ratio(s: Schedule) -> float:
+        return plans.ratio(s, d)
 
-    # ---- Phase 1: minimal processor count (binary search) ---------------
     with o.span("lamps.phase1", category="core",
                 graph=graph.name, shutdown=shutdown):
-        n_lwb = max(1, math.ceil(float(graph.weights_array.sum()) / deadline_cycles))
-        n_upb = graph.n
-        if not feasible(n_upb):
+        if ratio(sched(graph.n)) > 1.0 + 1e-9:
             raise InfeasibleScheduleError(
                 f"{graph.name or 'graph'}: deadline {deadline_cycles:g} cycles "
-                f"unreachable even with {n_upb} processors at full speed")
-        lo, hi = n_lwb, n_upb
-        while lo < hi:
-            mid = (lo + hi) // 2
-            o.count("lamps.binary_search_iterations")
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        n_min = lo
-        # The binary search assumes feasibility is monotone in the
-        # processor count; scheduling anomalies (more processors ->
-        # longer makespan) can break that, so verify and advance
-        # linearly until feasible — Phase 2 must never start from an
-        # infeasible count (n_upb is feasible, so this terminates).
-        while n_min < n_upb and not feasible(n_min):
-            n_min += 1
-            o.count("lamps.anomaly_retries")
-            if log is not None:
-                log.anomaly_retries += 1
+                f"unreachable even with {graph.n} processors at full speed")
+        n_min = _min_count(graph, deadline_cycles, sched, ratio, o, log)
 
-    # ---- Phase 2: sweep processor counts ---------------------------------
     with o.span("lamps.phase2", category="core",
                 graph=graph.name, n_min=n_min, shutdown=shutdown):
-        # Plan: walk the counts, collecting each feasible candidate's
-        # ladder points.  The walk is energy-independent — the plateau
-        # break reads only makespans — so every candidate's sweep can
-        # be deferred to one batched broadcast below.
-        cands: List[Tuple[int, Schedule]] = []
         sweeps: List[PlannedSweep] = []
-        prev_makespan = math.inf
-        for n in range(n_min, n_upb + 1):
-            s = sched(n)
-            f_req = plans.ratio(s, d) * platform.fmax
-            if f_req > platform.fmax * (1.0 + 1e-9):
-                # Scheduling anomaly made this count infeasible: skip it
-                # but keep sweeping — a later count can recover.
-                o.count("lamps.anomaly_retries")
-                if log is not None:
-                    log.anomaly_retries += 1
-            else:
-                points = _candidate_points(s, f_req, platform,
-                                           deadline_seconds, sleep, log, o)
-                cands.append((n, s))
-                sweeps.append(PlannedSweep(s, tuple(points), sleep))
-                if s.makespan >= prev_makespan - 1e-9:
-                    break  # more processors no longer shorten the schedule
-            # Track *every* makespan, not only the feasible ones —
-            # comparing a later feasible count against a makespan from
-            # before an anomalous stretch used to truncate the sweep
-            # one point early.
-            prev_makespan = s.makespan
+
+        def plan(s: Schedule, f_req: float) -> int:
+            sweeps.append(PlannedSweep(s, _candidate_points(
+                s, f_req, platform, deadline_seconds, sleep, log, o), sleep))
+            return len(sweeps) - 1
+
+        order = [plan(s, f_req) for _, s, f_req in _walk_counts(
+            sched, ratio, n_min, graph.n, platform.fmax, o, log)
+            if f_req is not None]
         spread: Optional[int] = None
         if shutdown:
-            # Fig. 8 sweeps up to the number of processors that can be
-            # employed efficiently; the fully spread schedule (the S&S
-            # one) can win under PS because longer per-processor gaps
-            # sleep better, so include it as a candidate — unless an
-            # anomaly made it infeasible (it usually is feasible: the
-            # upfront check ran on this very schedule).
-            s = sched(graph.n)
-            f_req = plans.ratio(s, d) * platform.fmax
-            if f_req <= platform.fmax * (1.0 + 1e-9):
-                points = _candidate_points(s, f_req, platform,
-                                           deadline_seconds, sleep, log, o)
-                spread = len(sweeps)
-                cands.append((graph.n, s))
-                sweeps.append(PlannedSweep(s, tuple(points), sleep))
-            else:
-                o.count("lamps.anomaly_retries")
-                if log is not None:
-                    log.anomaly_retries += 1
-
-        # One broadcast evaluates every candidate's full ladder; the
-        # batch kernel is bitwise-identical to a per-point scalar
-        # schedule_energy loop, including exception order.
+            # The fully spread schedule, under the walk's anomaly rule
+            # (a one-count walk): usually feasible — phase 1's upfront
+            # check ran on this very schedule.
+            _, s, f_req = next(_walk_counts(sched, ratio, graph.n, graph.n,
+                                            platform.fmax, o, log))
+            if f_req is not None:
+                spread = plan(s, f_req)
         energies = sweep_energies(sweeps, deadline_seconds)
-
-        # Finish: replay the historical selection over the precomputed
-        # energies — first-minimum ties, the greedy ablation's break on
-        # an energy increase, and the +PS full-spread candidate that
-        # only displaces a strictly worse winner (even after a greedy
-        # break, exactly as the historical post-loop evaluation did).
-        best: Optional[tuple] = None  # (energy, n, point, schedule)
-        for i, (n, s) in enumerate(cands):
-            if i == spread:
-                continue
-            energy, point = _select_best(energies[i],
-                                         list(sweeps[i].points))
-            if best is None or energy.total < best[0].total:
-                best = (energy, n, point, s)
-            elif phase2 == "greedy" and energy.total > best[0].total:
-                break
-        if spread is not None:
-            energy, point = _select_best(energies[spread],
-                                         list(sweeps[spread].points))
-            if best is None or energy.total < best[0].total:
-                best = (energy, graph.n, point, cands[spread][1])
-        assert best is not None  # n_min is always feasible
-        energy, _, point, schedule = best
+        energy, point, i = _best_candidate(
+            energies, sweeps, order, spread=spread,
+            greedy=phase2 == "greedy")
+        schedule = sweeps[i].schedule
 
     result = ScheduleResult(
         heuristic=Heuristic.LAMPS_PS if shutdown else Heuristic.LAMPS,
@@ -238,67 +332,6 @@ def lamps_search(
     if log is not None:
         audit_result(result, d, platform, log, sleep=sleep)
     return result
-
-
-def _candidate_points(
-        schedule: Schedule, f_req: float,
-        platform: Platform, deadline_seconds: float,
-        sleep: Optional[SleepModel],
-        log: Optional[AuditLog] = None,
-        o: Optional[Union[ObsLog, NullObs]] = None,
-) -> "list[OperatingPoint]":
-    """The ladder points a search evaluates for a fixed schedule.
-
-    Without PS: the single maximally stretched point (the paper
-    stretches to finish "as close as possible to the deadline").  With
-    PS: the whole feasible range (Fig. 8's inner loop).  Feasibility
-    checks, obs counters and audit counters all happen here — energy
-    does not enter the control flow, which is what lets the batched
-    campaign path (:func:`repro.core.suite.paper_suite_batch`) plan
-    every sweep up front and evaluate them together.
-
-    Raises:
-        InfeasibleScheduleError: no ladder point meets ``f_req`` (e.g.
-            float round-off pushed it marginally above ``fmax``).
-    """
-    o = o if o is not None else live(None)
-    if sleep is None:
-        try:
-            point = stretch_point(platform.ladder, f_req)
-        except ValueError as exc:
-            raise InfeasibleScheduleError(
-                f"{schedule.graph.name or 'graph'}: needs "
-                f"{f_req / 1e9:.6g} GHz, ladder tops out at "
-                f"{platform.fmax / 1e9:.6g} GHz "
-                f"(deadline window {deadline_seconds:.6g} s)") from exc
-        o.count("core.operating_points_evaluated")
-        if log is not None:
-            log.operating_points_evaluated += 1
-        return [point]
-    points = feasible_points(platform.ladder, f_req)
-    if not points:
-        raise InfeasibleScheduleError(
-            f"{schedule.graph.name or 'graph'}: no feasible operating "
-            f"point — needs {f_req / 1e9:.6g} GHz, ladder tops out at "
-            f"{platform.fmax / 1e9:.6g} GHz "
-            f"(deadline window {deadline_seconds:.6g} s)")
-    o.count("core.operating_points_evaluated", len(points))
-    if log is not None:
-        log.operating_points_evaluated += len(points)
-    return list(points)
-
-
-def _select_best(
-        breakdowns: "list[EnergyBreakdown]",
-        points: "list[OperatingPoint]",
-) -> Tuple[EnergyBreakdown, OperatingPoint]:
-    """The least-energy (energy, point) pair; ties keep the first.
-
-    The tie-break is load-bearing for byte identity: ``min`` keeps the
-    earliest minimal candidate, exactly like the historical per-point
-    loop, so the serial and batched paths pick the same point.
-    """
-    return min(zip(breakdowns, points), key=lambda c: c[0].total)
 
 
 def lamps(graph: TaskGraph, deadline_cycles: float, **kwargs) -> ScheduleResult:
@@ -330,58 +363,51 @@ def energy_vs_processors(
     to ``max_processors`` (default: the count where the makespan stops
     improving); ``None`` marks infeasible counts.
 
-    Like :func:`lamps_search` phase 2, the sweep is a plan/finish
-    split: every count's schedule and ladder points are planned first
-    (the truncation rule reads only makespans), one batched broadcast
-    evaluates all the ladders, and the rows — and the strict-mode
-    per-count energy audits, in the same ascending order — are
-    assembled from the precomputed results.
+    This is :func:`lamps_search`'s phase-2 walk started at one
+    processor, with the plateau stop off when ``max_processors`` is
+    given.  Every count's ladder is evaluated in one batched broadcast,
+    and the strict-mode per-count energy audits run in ascending order.
+
+    Raises:
+        ValueError: ``max_processors`` is below one.
     """
+    if max_processors is not None and max_processors < 1:
+        raise ValueError("need at least one processor")
     platform = platform or default_platform()
     log = audit if audit is not None else (AuditLog() if strict else None)
-    plans = plan_scope(plans, log)
+    plans = plans if plans is not None else PlanCache()
     d = plans.deadline_vector(graph, deadline_cycles)
     deadline_seconds = platform.seconds(deadline_cycles)
     sleep = platform.sleep if shutdown else None
     o = live(obs)
-    planned: "list[tuple[int, Schedule, Optional[int]]]" = []
+
+    def sched(n: int) -> Schedule:
+        return plans.schedule(graph, n, d, policy=policy, obs=obs, log=log,
+                              build=list_schedule)
+
+    rows: "list[tuple[int, Optional[int]]]" = []
     sweeps: List[PlannedSweep] = []
-    prev_makespan = math.inf
-    n_cap = max_processors or graph.n
-    for n in range(1, n_cap + 1):
-        s = plans.schedule(graph, n, d, policy=policy, obs=obs, log=log,
-                           build=list_schedule)
-        f_req = plans.ratio(s, d) * platform.fmax
-        if f_req > platform.fmax * (1.0 + 1e-9):
-            planned.append((n, s, None))
-            o.count("lamps.anomaly_retries")
-            if log is not None:
-                log.anomaly_retries += 1
-        else:
-            points = _candidate_points(s, f_req, platform,
-                                       deadline_seconds, sleep, log, o)
-            planned.append((n, s, len(sweeps)))
-            sweeps.append(PlannedSweep(s, tuple(points), sleep))
-            if max_processors is None and \
-                    s.makespan >= prev_makespan - 1e-9:
-                break  # a feasible count stopped improving the makespan
-        # Track *every* makespan, not only the feasible ones — comparing
-        # a later feasible count against a makespan from before an
-        # infeasible stretch used to truncate the Fig. 6 sweep one
-        # point early (and an anomalously *long* infeasible count must
-        # not end the sweep either).
-        prev_makespan = s.makespan
+    for n, s, f_req in _walk_counts(
+            sched, lambda s: plans.ratio(s, d), 1,
+            max_processors or graph.n, platform.fmax, o, log,
+            plateau=max_processors is None):
+        if f_req is None:
+            rows.append((n, None))
+            continue
+        rows.append((n, len(sweeps)))
+        sweeps.append(PlannedSweep(s, _candidate_points(
+            s, f_req, platform, deadline_seconds, sleep, log, o), sleep))
 
     energies = sweep_energies(sweeps, deadline_seconds)
     out: list[tuple[int, Optional[EnergyBreakdown]]] = []
-    for n, s, sweep_i in planned:
-        if sweep_i is None:
+    for n, i in rows:
+        if i is None:
             out.append((n, None))
             continue
-        energy, point = _select_best(energies[sweep_i],
-                                     list(sweeps[sweep_i].points))
+        energy, point = _select_best(energies[i], sweeps[i].points)
         out.append((n, energy))
         if log is not None:
-            audit_energy(s, energy, point, deadline_seconds, sleep,
-                         log, f"{graph.name or 'graph'}[n={n}]")
+            audit_energy(sweeps[i].schedule, energy, point,
+                         deadline_seconds, sleep, log,
+                         f"{graph.name or 'graph'}[n={n}]")
     return out

@@ -41,10 +41,13 @@ Why plan reuse is exact (DESIGN.md §12 carries the full argument):
   functions of their (pinned, frozen) inputs — memoization returns the
   identical float/array contents.
 
-Strict/audit runs use a fresh per-call cache with aliasing off
-(:func:`plan_scope`), so ``AuditLog`` counters, intermediate-schedule
-checks and their labels replay the historical per-call sequence
-verbatim; shared caches accelerate unaudited runs only.
+Strict/audit runs share the production cache, aliasing included.  A
+fresh build is validated structurally and counted as built; a
+width-alias serve is verified instead: the requested count is built
+once more and compared bytewise with the served schedule
+(:func:`~repro.audit.invariants.audit_alias`).  That verification build
+is neither cached nor counted, so hits, misses and the obs counters are
+those of an unaudited run.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, \
 
 import numpy as np
 
-from ..audit.invariants import audit_intermediate_schedule
+from ..audit.invariants import audit_alias, audit_intermediate_schedule
 from ..audit.report import AuditLog
 from ..graphs.analysis import top_levels as _graph_top_levels
 from ..graphs.dag import TaskGraph
@@ -69,7 +72,7 @@ from ..sched.schedule import Schedule
 from .batch import ScheduleBatch, SweepRequest, batch_energy_sweep
 from .energy import EnergyBreakdown
 
-__all__ = ["PlanCache", "PlannedSweep", "plan_scope", "sweep_energies"]
+__all__ = ["PlanCache", "PlannedSweep", "sweep_energies"]
 
 #: Signature of a schedule builder (``list_schedule`` or a test double).
 ScheduleBuilder = Callable[..., Schedule]
@@ -146,19 +149,14 @@ class PlanCache:
     cache holds its inputs alive.
 
     Attributes:
-        alias: whether width aliasing may serve a stall-free schedule
-            for a larger requested count.  ``False`` replays the
-            historical one-build-per-distinct-count behaviour exactly
-            (used under strict/audit via :func:`plan_scope`).
         hits, misses: schedule-cache counters; also surfaced through
             ``obs`` as ``plan_cache.hits`` / ``plan_cache.misses``.
     """
 
-    __slots__ = ("alias", "hits", "misses", "_graphs", "_deadline_vecs",
+    __slots__ = ("hits", "misses", "_graphs", "_deadline_vecs",
                  "_tops", "_key_fps", "_exact", "_stall_free", "_ratios")
 
-    def __init__(self, *, alias: bool = True) -> None:
-        self.alias = alias
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self._graphs: Dict[int, TaskGraph] = {}
@@ -263,7 +261,8 @@ class PlanCache:
         Width aliasing (see the module docstring) serves a stall-free
         cached schedule for any requested count at or above its
         employed width, and only when ``build`` is the canonical
-        scheduler.
+        scheduler.  With ``log`` set, each alias serve is verified
+        against a fresh build of the requested count.
         """
         if build is None:
             build = list_schedule
@@ -283,11 +282,14 @@ class PlanCache:
                   else np.asarray(deadlines, dtype=float).tobytes())
         key = (gid, fp, n)
         s = self._exact.get(key)
-        if s is None and canonical and self.alias:
+        if s is None and canonical:
             free = self._stall_free.get((gid, fp))
             if free is not None and n >= free.employed_processors:
-                s = free
-                self._exact[key] = s
+                if log is not None:
+                    audit_alias(free,
+                                build(graph, n, deadlines, policy=policy),
+                                log, label or f"{graph.name or 'graph'}[n={n}]")
+                s = self._exact[key] = free
         o = live(obs)
         if s is not None:
             self.hits += 1
@@ -307,21 +309,6 @@ class PlanCache:
         return s
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"PlanCache(alias={self.alias}, hits={self.hits}, "
+        return (f"PlanCache(hits={self.hits}, "
                 f"misses={self.misses}, schedules={len(self._exact)})")
 
-
-def plan_scope(plans: Optional[PlanCache],
-               log: Optional[AuditLog]) -> PlanCache:
-    """The cache a search call should actually use.
-
-    Strict/audit runs (``log`` present) get a fresh per-call cache with
-    aliasing off, replaying the historical local-dict behaviour byte
-    for byte — audit counters, intermediate-schedule checks and labels
-    fire once per distinct requested processor count, exactly as
-    before.  Unaudited runs share ``plans`` when given, else get a
-    fresh aliasing cache.
-    """
-    if plans is None or log is not None:
-        return PlanCache(alias=log is None)
-    return plans

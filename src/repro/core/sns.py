@@ -23,11 +23,10 @@ from ..graphs.dag import TaskGraph
 from ..obs import ObsLog, live
 from ..sched.list_scheduler import list_schedule
 from ..sched.priorities import PriorityPolicy
-from .energy import schedule_energy_sweep
-from .plans import PlanCache, plan_scope
+from .lamps import _best_candidate, _candidate_points
+from .plans import PlanCache, PlannedSweep, sweep_energies
 from .platform import Platform, default_platform
-from .results import Heuristic, InfeasibleScheduleError, ScheduleResult
-from .stretch import feasible_points, stretch_point
+from .results import Heuristic, ScheduleResult
 
 __all__ = ["schedule_and_stretch", "sns", "sns_ps"]
 
@@ -67,9 +66,12 @@ def schedule_and_stretch(
             effect on the result).
         plans: a shared per-instance
             :class:`~repro.core.plans.PlanCache`; reuses the deadline
-            vector and schedule across heuristics on the same instance
-            (ignored under strict/audit — see
-            :func:`~repro.core.plans.plan_scope`).
+            vector and schedule across heuristics on the same instance,
+            also under strict/audit.
+
+    The schedule is evaluated like one LAMPS candidate: the ladder
+    points come from :func:`repro.core.lamps._candidate_points` and the
+    energies from one :func:`~repro.core.plans.sweep_energies` call.
 
     Raises:
         InfeasibleScheduleError: deadline unreachable even at full speed.
@@ -81,46 +83,23 @@ def schedule_and_stretch(
     log = audit if audit is not None else (AuditLog() if strict else None)
     o = live(obs)
 
-    plans = plan_scope(plans, log)
+    plans = plans if plans is not None else PlanCache()
     d = plans.deadline_vector(graph, deadline_cycles,
                               overrides=deadline_overrides)
     sched = plans.schedule(graph, n_procs, d, policy=policy, obs=obs,
                            log=log, build=list_schedule)
+    sleep = platform.sleep if shutdown else None
     with o.span("sns.stretch", category="core", graph=graph.name,
                 shutdown=shutdown):
         f_req = plans.ratio(sched, d) * platform.fmax
         deadline_seconds = platform.seconds(deadline_cycles)
-
-        if shutdown:
-            points = feasible_points(platform.ladder, f_req)
-            if not points:
-                raise InfeasibleScheduleError(
-                    f"{graph.name or 'graph'}: needs {f_req/1e9:.3f} GHz, "
-                    f"ladder tops out at {platform.fmax/1e9:.3f} GHz")
-            o.count("core.operating_points_evaluated", len(points))
-            if log is not None:
-                log.operating_points_evaluated += len(points)
-            # One-shot ladder sweep (bitwise-identical to a per-point
-            # schedule_energy loop over ``points``).
-            breakdowns = schedule_energy_sweep(
-                sched, points, deadline_seconds, sleep=platform.sleep)
-            energy, point = min(zip(breakdowns, points),
-                                key=lambda c: c[0].total)
-            heuristic = Heuristic.SNS_PS
-        else:
-            try:
-                point = stretch_point(platform.ladder, f_req)
-            except ValueError as exc:
-                raise InfeasibleScheduleError(str(exc)) from exc
-            o.count("core.operating_points_evaluated")
-            if log is not None:
-                log.operating_points_evaluated += 1
-            energy = schedule_energy_sweep(
-                sched, [point], deadline_seconds)[0]
-            heuristic = Heuristic.SNS
+        sweep = PlannedSweep(sched, _candidate_points(
+            sched, f_req, platform, deadline_seconds, sleep, log, o), sleep)
+        energy, point, _ = _best_candidate(
+            sweep_energies([sweep], deadline_seconds), [sweep], [0])
 
     result = ScheduleResult(
-        heuristic=heuristic,
+        heuristic=Heuristic.SNS_PS if shutdown else Heuristic.SNS,
         graph_name=graph.name,
         energy=energy,
         point=point,
@@ -130,8 +109,7 @@ def schedule_and_stretch(
         schedule=sched,
     )
     if log is not None:
-        audit_result(result, d, platform, log,
-                     sleep=platform.sleep if shutdown else None)
+        audit_result(result, d, platform, log, sleep=sleep)
     return result
 
 

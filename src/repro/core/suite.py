@@ -11,20 +11,22 @@ analysis (``T_LAMPS ~ #schedules * T_ls``) predicts.
 
 The suite is organised as a *plan/finish* split: ``_plan_suite`` runs
 all control flow — schedule construction, feasibility checks, LAMPS
-phase 1 and the phase-2 processor-count walk — and emits the ordered
-list of ladder sweeps the searches need, without evaluating any energy
-(control flow is energy-independent; see DESIGN.md, "Why batched padded
-sweeps are exact").  One :func:`~repro.core.batch.batch_energy_sweep`
-broadcast evaluates every planned sweep of the chunk, and
-``_finish_suite`` turns the results back into the six
-:class:`~repro.core.results.ScheduleResult` entries with the historical
-tie-breaking.  This is the only suite body: strict and profiled runs
-take it too, and :func:`paper_suite` is a one-instance chunk.
+phase 1 and the phase-2 processor-count walk, each the one rule in
+:mod:`repro.core.lamps` that :func:`~repro.core.lamps.lamps_search`
+also runs — and emits the ordered list of ladder sweeps the searches
+need, without evaluating any energy (control flow is
+energy-independent; see DESIGN.md, "Why batched padded sweeps are
+exact").  One :func:`~repro.core.batch.batch_energy_sweep` broadcast
+evaluates every planned sweep of the chunk, and ``_finish_suite`` turns
+the results back into the six
+:class:`~repro.core.results.ScheduleResult` entries with the shared
+selection, :func:`~repro.core.lamps._best_candidate`.  This is the only
+suite body: strict and profiled runs take it too, and
+:func:`paper_suite` is a one-instance chunk.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -32,18 +34,17 @@ from ..audit.invariants import audit_result, audit_sweep
 from ..audit.report import AuditLog
 from ..graphs.dag import TaskGraph
 from ..obs import NullObs, ObsLog, live
-from ..power.dvs import OperatingPoint
 from ..power.shutdown import SleepModel
 from ..sched.list_scheduler import list_schedule
 from ..sched.priorities import PriorityPolicy
 from ..sched.schedule import Schedule
 from .energy import EnergyBreakdown
-from .lamps import _candidate_points, _select_best
+from .lamps import _best_candidate, _candidate_points, _min_count, \
+    _walk_counts
 from .limits import limit_mf, limit_sf
-from .plans import PlanCache, PlannedSweep, plan_scope, sweep_energies
+from .plans import PlanCache, PlannedSweep, sweep_energies
 from .platform import Platform, default_platform
-from .results import Heuristic, InfeasibleScheduleError, ScheduleResult
-from .stretch import stretch_point
+from .results import Heuristic, ScheduleResult
 
 __all__ = ["paper_suite", "paper_suite_batch"]
 
@@ -77,7 +78,7 @@ class _SuitePlan:
     evaluated them (SNS, SNS+PS, then plain/PS pairs per feasible
     phase-2 processor count), so evaluating them in order — serially or
     batched — reproduces the historical floating-point story verbatim.
-    ``phase2`` holds ``(plain index, ps index, schedule)`` triples in
+    ``lamps`` and ``lamps_ps`` hold the phase-2 sweep indices in
     ascending processor-count order.
     """
 
@@ -87,12 +88,12 @@ class _SuitePlan:
     deadlines: object  # per-task deadline array (np.ndarray)
     platform: Platform
     log: Optional[AuditLog]
-    s_full: Schedule
     plans: PlanCache
     sweeps: List[PlannedSweep] = field(default_factory=list)
     sns: int = -1
     sns_ps: int = -1
-    phase2: List[Tuple[int, int, Schedule]] = field(default_factory=list)
+    lamps: List[int] = field(default_factory=list)
+    lamps_ps: List[int] = field(default_factory=list)
 
 
 def _plan_suite(
@@ -109,107 +110,62 @@ def _plan_suite(
     """Run the suite's control flow; emit the sweeps it needs.
 
     Builds every schedule, runs the feasibility checks, LAMPS phase 1
-    and the phase-2 walk, and raises the exact
-    :class:`~repro.core.results.InfeasibleScheduleError` the historical
-    suite raised, in the same order — none of which needs an energy
-    value.  Energy evaluation is deferred to the returned plan's
-    ``sweeps``.
+    (:func:`~repro.core.lamps._min_count`) and the phase-2 walk
+    (:func:`~repro.core.lamps._walk_counts`, which plans the plain and
+    the +PS ladder of each count), and raises the
+    :class:`~repro.core.results.InfeasibleScheduleError` that
+    :func:`~repro.core.sns.schedule_and_stretch` raises for the same
+    instance — none of which needs an energy value.
+    Energy evaluation is deferred to the returned plan's ``sweeps``.
 
     All schedule builds, deadline vectors and required-frequency
     ratios go through one per-instance
     :class:`~repro.core.plans.PlanCache`, so the S&S family and LAMPS
     share every overlapping configuration (the full-spread build *is*
-    the phase-1 upper-bound probe, and width aliasing collapses every
-    probe at or above the graph's width onto it).
+    the phase-1 upper bound, and width aliasing collapses every probe
+    at or above the graph's width onto it).
     """
     platform = platform or default_platform()
     log = audit if audit is not None else (AuditLog() if strict else None)
-    plans = plan_scope(None, log)
+    plans = PlanCache()
     d = plans.deadline_vector(graph, deadline_cycles)
-    deadline_seconds = platform.seconds(deadline_cycles)
+    plan = _SuitePlan(
+        graph=graph, deadline_cycles=deadline_cycles,
+        deadline_seconds=platform.seconds(deadline_cycles), deadlines=d,
+        platform=platform, log=log, plans=plans)
 
     def sched(n: int) -> Schedule:
         return plans.schedule(graph, n, d, policy=policy, obs=obs,
                               log=log, build=list_schedule)
 
+    def ratio(s: Schedule) -> float:
+        return plans.ratio(s, d)
+
+    def add(s: Schedule, f_req: float, sleep: Optional[SleepModel]) -> int:
+        plan.sweeps.append(PlannedSweep(s, _candidate_points(
+            s, f_req, platform, plan.deadline_seconds, sleep, log, o),
+            sleep))
+        return len(plan.sweeps) - 1
+
     # ---- S&S family: one schedule on |V| processors ----------------------
     with o.span("suite.sns_family", category="suite", graph=graph.name):
         s_full = sched(graph.n)
-        plan = _SuitePlan(
-            graph=graph, deadline_cycles=deadline_cycles,
-            deadline_seconds=deadline_seconds, deadlines=d,
-            platform=platform, log=log, s_full=s_full, plans=plans)
+        f_full = ratio(s_full) * platform.fmax
+        plan.sns = add(s_full, f_full, None)
+        plan.sns_ps = add(s_full, f_full, platform.sleep)
 
-        def add(s: Schedule, points: Sequence[OperatingPoint],
-                sleep: Optional[SleepModel]) -> int:
-            plan.sweeps.append(PlannedSweep(s, tuple(points), sleep))
-            return len(plan.sweeps) - 1
-
-        f_req = plans.ratio(s_full, d) * platform.fmax
-        if f_req > platform.fmax * (1.0 + 1e-9):
-            raise InfeasibleScheduleError(
-                f"{graph.name or 'graph'}: infeasible even at full speed")
-        point = stretch_point(platform.ladder, f_req)
-        o.count("core.operating_points_evaluated")
-        if log is not None:
-            log.operating_points_evaluated += 1
-        plan.sns = add(s_full, [point], None)
-        plan.sns_ps = add(
-            s_full,
-            _candidate_points(s_full, f_req, platform, deadline_seconds,
-                              platform.sleep, log, o),
-            platform.sleep)
-
-    # ---- LAMPS family: shared processor-count sweep ----------------------
+    # ---- LAMPS family: one walk plans both ladders per count -------------
     with o.span("suite.lamps_phase1", category="suite",
                 graph=graph.name):
-        n_lwb = max(1,
-                    math.ceil(float(graph.weights_array.sum()) / deadline_cycles))
-        lo, hi = n_lwb, graph.n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            o.count("lamps.binary_search_iterations")
-            if plans.ratio(sched(mid), d) <= 1.0 + 1e-9:
-                hi = mid
-            else:
-                lo = mid + 1
-        n_min = lo
-        # Feasibility can be non-monotone under scheduling anomalies,
-        # which breaks the binary search's assumption; advance linearly
-        # until feasible (graph.n is feasible, so this terminates) —
-        # see repro.core.lamps.lamps_search for the same guard.
-        while (n_min < graph.n
-               and plans.ratio(sched(n_min), d) > 1.0 + 1e-9):
-            n_min += 1
-            o.count("lamps.anomaly_retries")
-            if log is not None:
-                log.anomaly_retries += 1
+        n_min = _min_count(graph, deadline_cycles, sched, ratio, o, log)
 
     with o.span("suite.lamps_phase2", category="suite",
                 graph=graph.name, n_min=n_min):
-        prev_makespan = math.inf
-        for n in range(n_min, graph.n + 1):
-            s = sched(n)
-            fr = plans.ratio(s, d) * platform.fmax
-            if fr <= platform.fmax * (1.0 + 1e-9):
-                plain_i = add(
-                    s, _candidate_points(s, fr, platform, deadline_seconds,
-                                         None, log, o), None)
-                ps_i = add(
-                    s, _candidate_points(s, fr, platform, deadline_seconds,
-                                         platform.sleep, log, o),
-                    platform.sleep)
-                plan.phase2.append((plain_i, ps_i, s))
-                if s.makespan >= prev_makespan - 1e-9:
-                    break  # plateau on a feasible count ends the sweep
-            else:
-                o.count("lamps.anomaly_retries")
-                if log is not None:
-                    log.anomaly_retries += 1
-            # Same anomaly rule as lamps_search: track every makespan,
-            # and never let an infeasible (anomalous) count end the
-            # sweep.
-            prev_makespan = s.makespan
+        for _, s, f_req in _walk_counts(sched, ratio, n_min, graph.n,
+                                        platform.fmax, o, log):
+            if f_req is not None:
+                plan.lamps.append(add(s, f_req, None))
+                plan.lamps_ps.append(add(s, f_req, platform.sleep))
     return plan
 
 
@@ -222,50 +178,30 @@ def _finish_suite(
 
     ``energies[i]`` must be the breakdown list of ``plan.sweeps[i]``,
     as :func:`~repro.core.plans.sweep_energies` returns it.  Selection
-    replays the historical tie-breaking exactly: ``min`` keeps the first minimal
-    ladder point, cross-count comparison keeps the earlier processor
-    count on ties, and the fully spread +PS candidate only displaces a
-    strictly worse phase-2 winner.
+    is :func:`~repro.core.lamps._best_candidate`, the rule
+    :func:`~repro.core.lamps.lamps_search` uses; for LAMPS+PS the
+    S&S+PS sweep is the fully spread candidate.
     """
     graph = plan.graph
     platform = plan.platform
     log = plan.log
-
-    def result(heuristic: Heuristic, energy: EnergyBreakdown,
-               point: OperatingPoint, s: Schedule) -> ScheduleResult:
-        return ScheduleResult(
-            heuristic=heuristic, graph_name=graph.name, energy=energy,
+    picks = {
+        Heuristic.SNS: _best_candidate(energies, plan.sweeps, [plan.sns]),
+        Heuristic.SNS_PS: _best_candidate(energies, plan.sweeps,
+                                          [plan.sns_ps]),
+        Heuristic.LAMPS: _best_candidate(energies, plan.sweeps, plan.lamps),
+        Heuristic.LAMPS_PS: _best_candidate(energies, plan.sweeps,
+                                            plan.lamps_ps,
+                                            spread=plan.sns_ps),
+    }
+    out: Dict[Heuristic, ScheduleResult] = {}
+    for h, (energy, point, i) in picks.items():
+        s = plan.sweeps[i].schedule
+        out[h] = ScheduleResult(
+            heuristic=h, graph_name=graph.name, energy=energy,
             point=point, n_processors=s.employed_processors,
             deadline_cycles=float(plan.deadline_cycles),
             deadline_seconds=plan.deadline_seconds, schedule=s)
-
-    def best(i: int) -> Tuple[EnergyBreakdown, OperatingPoint]:
-        return _select_best(list(energies[i]), list(plan.sweeps[i].points))
-
-    out: Dict[Heuristic, ScheduleResult] = {}
-    e_sns, p_sns = best(plan.sns)
-    out[Heuristic.SNS] = result(Heuristic.SNS, e_sns, p_sns, plan.s_full)
-    e_ps, p_ps = best(plan.sns_ps)
-    out[Heuristic.SNS_PS] = result(Heuristic.SNS_PS, e_ps, p_ps,
-                                   plan.s_full)
-
-    best_plain: Optional[tuple] = None
-    best_ps: Optional[tuple] = None
-    for plain_i, ps_i, s in plan.phase2:
-        e, p = best(plain_i)
-        if best_plain is None or e.total < best_plain[0].total:
-            best_plain = (e, p, s)
-        e, p = best(ps_i)
-        if best_ps is None or e.total < best_ps[0].total:
-            best_ps = (e, p, s)
-    # The fully spread schedule is a valid +PS candidate (Fig. 8's
-    # Nmax); it can beat packed configurations because long gaps sleep
-    # cheaply.
-    if best_ps is None or e_ps.total < best_ps[0].total:
-        best_ps = (e_ps, p_ps, plan.s_full)
-    assert best_plain is not None and best_ps is not None
-    out[Heuristic.LAMPS] = result(Heuristic.LAMPS, *best_plain)
-    out[Heuristic.LAMPS_PS] = result(Heuristic.LAMPS_PS, *best_ps)
 
     # ---- Bounds -----------------------------------------------------------
     with o.span("suite.limits", category="suite", graph=graph.name):
@@ -347,7 +283,8 @@ def paper_suite_batch(
     step carries that instance's chunk-local ``instance_index``.
 
     ``strict``/``audit`` run the :mod:`repro.audit` invariant checks on
-    every intermediate schedule and every schedule-bearing result, and
+    every intermediate schedule, every width-alias serve of the plan
+    cache and every schedule-bearing result, and
     cross-check every broadcast row against the scalar
     :func:`~repro.core.energy.schedule_energy` bitwise (``strict``
     alone uses a fresh :class:`~repro.audit.report.AuditLog` per

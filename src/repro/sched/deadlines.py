@@ -10,6 +10,7 @@ assignment.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Mapping, Optional
 
 import numpy as np
@@ -46,17 +47,21 @@ def task_deadlines(graph: TaskGraph, deadline_cycles: float, *,
         Array ``d`` with ``d[i]`` = latest finish time of node ``i``.
 
     Raises:
+        ValueError: ``deadline_cycles`` or an override is not a positive
+            finite number.
         InfeasibleDeadlineError: see ``check_feasible``.
         KeyError: if an override references an unknown task.
     """
-    if deadline_cycles <= 0:
-        raise ValueError(f"deadline must be positive, got {deadline_cycles}")
+    if not deadline_cycles > 0 or not math.isfinite(deadline_cycles):
+        raise ValueError(
+            f"deadline must be positive and finite, got {deadline_cycles}")
     d = np.full(graph.n, float(deadline_cycles))
     if overrides:
         for task, value in overrides.items():
-            if value <= 0:
+            if not value > 0 or not math.isfinite(value):
                 raise ValueError(
-                    f"override deadline for {task!r} must be positive")
+                    f"override deadline for {task!r} must be positive "
+                    f"and finite, got {value}")
             i = graph.index_of(task)  # raises KeyError for unknown tasks
             d[i] = min(d[i], float(value))
 

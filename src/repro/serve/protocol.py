@@ -44,6 +44,7 @@ instance itself is infeasible, 500 for anything unexpected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -90,6 +91,17 @@ def _require(cond: bool, detail: str) -> None:
         raise ProtocolError(detail)
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer — ``true``/``false`` are not numbers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite(x: Any) -> bool:
+    """A finite JSON number (``json`` also parses ``Infinity``/``NaN``)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 def _build_graph(spec: Any) -> TaskGraph:
     _require(isinstance(spec, dict), "'graph' must be an object")
     if "bundled" in spec:
@@ -99,8 +111,8 @@ def _build_graph(spec: Any) -> TaskGraph:
                  f"unknown bundled graph {name!r}")
         graph = load_bundled(name)
         scale = spec.get("scale", 1.0)
-        _require(isinstance(scale, (int, float)) and scale > 0,
-                 "'graph.scale' must be a positive number")
+        _require(_is_finite(scale) and scale > 0,
+                 "'graph.scale' must be a positive finite number")
         return graph.scaled(float(scale)) if scale != 1.0 else graph
     _require("weights" in spec,
              "'graph' needs either 'bundled' or 'weights'")
@@ -109,8 +121,8 @@ def _build_graph(spec: Any) -> TaskGraph:
              "'graph.weights' must be a non-empty list")
     _require(len(weights) <= MAX_TASKS,
              f"graph exceeds the {MAX_TASKS}-task service limit")
-    _require(all(isinstance(w, (int, float)) and w >= 0 for w in weights),
-             "'graph.weights' must be non-negative numbers")
+    _require(all(_is_finite(w) and w >= 0 for w in weights),
+             "'graph.weights' must be non-negative finite numbers")
     edges = spec.get("edges", [])
     _require(isinstance(edges, list), "'graph.edges' must be a list")
     n = len(weights)
@@ -119,8 +131,7 @@ def _build_graph(spec: Any) -> TaskGraph:
         _require(isinstance(e, (list, tuple)) and len(e) == 2,
                  "each edge must be a [u, v] pair")
         u, v = e
-        _require(isinstance(u, int) and isinstance(v, int)
-                 and 0 <= u < n and 0 <= v < n,
+        _require(_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n,
                  f"edge {e!r} references an unknown node")
         pairs.append((u, v))
     name = spec.get("name", "request")
@@ -154,11 +165,13 @@ def parse_request(body: bytes, platform: Platform) -> ScheduleRequest:
              "exactly one of 'deadline_cycles'/'deadline_factor' "
              "is required")
     if deadline is None:
-        _require(isinstance(factor, (int, float)) and factor > 0,
-                 "'deadline_factor' must be a positive number")
+        _require(_is_finite(factor) and factor > 0,
+                 "'deadline_factor' must be a positive finite number")
         deadline = float(factor) * critical_path_length(graph)
-    _require(isinstance(deadline, (int, float)) and deadline > 0,
-             "'deadline_cycles' must be a positive number")
+        _require(math.isfinite(deadline),
+                 "'deadline_factor' overflows the deadline")
+    _require(_is_finite(deadline) and deadline > 0,
+             "'deadline_cycles' must be a positive finite number")
 
     policy = doc.get("policy", "edf")
     _require(isinstance(policy, str) and policy in PRIORITY_POLICIES,

@@ -4,12 +4,14 @@ Scheduling anomalies (Graham: more processors can *lengthen* a list
 schedule) make feasibility non-monotone in the processor count, which
 the LAMPS searches historically assumed away.  Deterministic anomaly
 instances are hard to construct organically, so these tests monkeypatch
-``repro.core.lamps.list_schedule`` with handcrafted (but structurally
+``repro.core.lamps.list_schedule`` (and the suite's
+``repro.core.suite.list_schedule``) with handcrafted (but structurally
 valid) schedules whose makespans follow a chosen non-monotone pattern.
 """
 
 import importlib
 
+import numpy as np
 import pytest
 
 from repro.audit import AuditLog
@@ -19,8 +21,9 @@ from repro.core.lamps import (
     energy_vs_processors,
     lamps_search,
 )
-from repro.core.results import InfeasibleScheduleError
+from repro.core.results import Heuristic, InfeasibleScheduleError
 from repro.core.sns import schedule_and_stretch
+from repro.core.suite import paper_suite
 from repro.graphs.dag import TaskGraph
 from repro.sched.deadlines import task_deadlines
 from repro.sched.list_scheduler import list_schedule
@@ -29,6 +32,7 @@ from repro.sched.schedule import Placement, Schedule
 # ``repro.core`` re-exports the ``lamps`` *function*, shadowing the
 # submodule attribute — resolve the module itself for monkeypatching.
 lamps_mod = importlib.import_module("repro.core.lamps")
+suite_mod = importlib.import_module("repro.core.suite")
 
 
 def _independent_graph(n_tasks: int) -> TaskGraph:
@@ -53,7 +57,17 @@ def _line_schedule(graph: TaskGraph, n: int, makespan: float) -> Schedule:
 def _patch_makespans(monkeypatch, makespan_by_n):
     def fake_list_schedule(graph, n, deadlines, policy="edf", obs=None):
         return _line_schedule(graph, n, makespan_by_n[n])
-    monkeypatch.setattr(lamps_mod, "list_schedule", fake_list_schedule)
+    for mod in (lamps_mod, suite_mod):
+        monkeypatch.setattr(mod, "list_schedule", fake_list_schedule)
+
+
+#: (makespan per processor count, deadline) patterns with non-monotone
+#: feasibility over n = 1..4.
+ANOMALIES = [
+    ({1: 30.0, 2: 8.0, 3: 9.0, 4: 8.0}, 8.5),
+    ({1: 10.0, 2: 16.0, 3: 9.0, 4: 9.0}, 9.5),
+    ({1: 30.0, 2: 9.0, 3: 16.0, 4: 8.0}, 9.5),
+]
 
 
 class TestAnomalousFeasibility:
@@ -80,10 +94,7 @@ class TestAnomalousFeasibility:
         assert log.anomaly_retries >= 1
         assert log.clean
 
-    @pytest.mark.parametrize("makespans,deadline", [
-        ({1: 10.0, 2: 16.0, 3: 9.0, 4: 9.0}, 9.5),
-        ({1: 30.0, 2: 9.0, 3: 16.0, 4: 8.0}, 9.5),
-    ])
+    @pytest.mark.parametrize("makespans,deadline", ANOMALIES[1:])
     def test_phase1_lands_on_feasible_count(self, monkeypatch, makespans,
                                             deadline):
         # Non-monotone feasibility must never leak an infeasible count
@@ -93,6 +104,36 @@ class TestAnomalousFeasibility:
         for shutdown in (False, True):
             r = lamps_search(g, deadline, shutdown=shutdown, strict=True)
             assert r.schedule.makespan <= deadline
+
+
+class TestSuiteAnomalies:
+    """The batched suite runs the anomaly rules of :func:`lamps_search`."""
+
+    @pytest.mark.parametrize("makespans,deadline", ANOMALIES)
+    def test_suite_lamps_equal_lamps_search(self, monkeypatch, makespans,
+                                            deadline):
+        g = _independent_graph(4)
+        _patch_makespans(monkeypatch, makespans)
+        suite = paper_suite(g, deadline, strict=True)
+        for h, shutdown in ((Heuristic.LAMPS, False),
+                            (Heuristic.LAMPS_PS, True)):
+            want = lamps_search(g, deadline, shutdown=shutdown, strict=True)
+            got = suite[h]
+            assert got.energy == want.energy, h
+            assert got.point == want.point, h
+            assert got.n_processors == want.n_processors, h
+            for name in ("start_times", "finish_times", "task_processors"):
+                assert np.array_equal(getattr(got.schedule, name),
+                                      getattr(want.schedule, name)), h
+            assert got.schedule.makespan <= deadline, h
+
+    def test_infeasible_full_spread_raises_in_both(self, monkeypatch):
+        g = _independent_graph(4)
+        _patch_makespans(monkeypatch, {1: 30.0, 2: 8.0, 3: 8.0, 4: 9.0})
+        with pytest.raises(InfeasibleScheduleError):
+            paper_suite(g, 8.5)
+        with pytest.raises(InfeasibleScheduleError):
+            lamps_search(g, 8.5)
 
 
 class TestFig6SweepTruncation:
@@ -117,6 +158,11 @@ class TestFig6SweepTruncation:
         assert log.schedules_built == len(out) == 5
         assert log.anomaly_retries == 3  # n = 1, 3, 5 infeasible
         assert log.clean
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_non_positive_cap_rejected(self, fig4_graph, cap):
+        with pytest.raises(ValueError, match="at least one processor"):
+            energy_vs_processors(fig4_graph, 24.0, max_processors=cap)
 
 
 class TestEmptyLadder:

@@ -1,10 +1,16 @@
 """Tests for the public facade API."""
 
+import math
+
 import pytest
 
 from repro.core.api import deadline_from_factor, evaluate_all, schedule
+from repro.core.lamps import lamps_search
 from repro.core.platform import Platform, default_platform
 from repro.core.results import Heuristic
+from repro.core.sns import schedule_and_stretch
+from repro.core.suite import paper_suite
+from repro.graphs.dag import TaskGraph
 from repro.graphs.analysis import critical_path_length
 from repro.power.dvs import DVSLadder
 from repro.power.shutdown import SleepModel
@@ -84,6 +90,32 @@ class TestEvaluateAll:
         res = evaluate_all(coarse, deadline_factor=2.0)
         for h, r in res.items():
             assert r.heuristic is h
+
+
+class TestNonFiniteDeadlines:
+    """NaN and infinite deadlines are rejected, not scheduled."""
+
+    @pytest.mark.parametrize("search", [paper_suite, lamps_search])
+    def test_nan_deadline_rejected(self, coarse, search):
+        with pytest.raises(ValueError, match="finite"):
+            search(coarse, math.nan)
+
+    def test_nan_deadline_on_zero_weight_graph(self):
+        g = TaskGraph({0: 0.0, 1: 0.0}, [(0, 1)], name="idle")
+        with pytest.raises(ValueError, match="finite"):
+            schedule_and_stretch(g, math.nan)
+
+    @pytest.mark.parametrize("h", list(Heuristic))
+    def test_infinite_deadline_rejected(self, coarse, h):
+        with pytest.raises(ValueError, match="finite"):
+            schedule(coarse, math.inf, heuristic=h)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_override_rejected(self, coarse, value):
+        deadline = 2.0 * critical_path_length(coarse)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_all(coarse, deadline,
+                         deadline_overrides={"T5": value})
 
 
 class TestDefaultPlatform:

@@ -4,16 +4,18 @@ The plan-memoization layer claims that sharing built schedules,
 deadline vectors, top levels and required-frequency ratios across the
 heuristic suite changes *nothing* observable: every heuristic result —
 and, end-to-end, the campaign report JSON and exec-cache files — is
-byte-identical with reuse on, with reuse forcibly disabled, and with
-width aliasing on or off.  Those claims are asserted here with exact
+byte-identical with reuse on and with reuse forcibly disabled, with
+width aliasing serving the wider counts.  Those claims are asserted here with exact
 (``==``) comparisons, alongside the accounting the cache exposes: the
 hit/miss counters must match the reuse predicted from the distinct
 ``(graph, n, policy, priority-fingerprint)`` configurations a search
 requests, and the width-aliasing theorem must hold as a property of
-the scheduler itself.
+the scheduler itself — and, under strict, on every alias the cache
+serves.
 """
 
 import hashlib
+import importlib
 import pathlib
 
 import numpy as np
@@ -21,10 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.audit.report import AuditLog, AuditViolationError
 from repro.core import evaluate_all, lamps_search, paper_suite
 from repro.core.lamps import energy_vs_processors
-from repro.core.plans import PlanCache, PlannedSweep, plan_scope, \
-    sweep_energies
+from repro.core.plans import PlanCache, PlannedSweep, sweep_energies
 from repro.core.platform import default_platform
 from repro.core.energy import schedule_energy
 from repro.core.stretch import feasible_points, required_frequency
@@ -33,9 +35,16 @@ from repro.graphs.generators import stg_random_graph
 from repro.obs import ObsLog
 from repro.sched.deadlines import task_deadlines
 from repro.sched.list_scheduler import list_schedule
+from repro.sched.schedule import Schedule
 
 from ..exec.test_identity_regression import GOLDEN_CACHE, GOLDEN_REPORT, \
     _CAMPAIGN_KWARGS
+
+
+# ``repro.core`` re-exports the ``lamps`` *function*, shadowing the
+# submodule attribute — resolve the modules themselves for patching.
+lamps_mod = importlib.import_module("repro.core.lamps")
+plans_mod = importlib.import_module("repro.core.plans")
 
 
 def _instance(n=40, seed=3, factor=2.0):
@@ -63,6 +72,19 @@ def _disable_reuse(monkeypatch):
             return _real(self, *args, **kwargs)
 
         monkeypatch.setattr(PlanCache, name, wiped)
+
+
+def _exact_counts(monkeypatch):
+    """Route LAMPS through a pass-through builder: exact per-count caching.
+
+    The wrapper schedules exactly like ``list_schedule`` but is not the
+    canonical scheduler, so the cache keys every count separately and
+    never width-aliases — one build per distinct requested count.
+    """
+    def passthrough(*args, **kwargs):
+        return list_schedule(*args, **kwargs)
+
+    monkeypatch.setattr(lamps_mod, "list_schedule", passthrough)
 
 
 def assert_results_equal(got, want):
@@ -102,8 +124,10 @@ class TestCacheOnOffIdentity:
     @settings(max_examples=10, deadline=None)
     def test_alias_on_off_identical(self, seed):
         g, deadline = _instance(seed=seed)
-        aliased = evaluate_all(g, deadline, plans=PlanCache(alias=True))
-        exact = evaluate_all(g, deadline, plans=PlanCache(alias=False))
+        aliased = evaluate_all(g, deadline, plans=PlanCache())
+        with pytest.MonkeyPatch.context() as mp:
+            _disable_reuse(mp)
+            exact = evaluate_all(g, deadline)
         assert_results_equal(aliased, exact)
 
     def test_strict_audit_results_identical_to_shared(self):
@@ -144,12 +168,14 @@ class TestHitMissAccounting:
     def test_one_build_per_distinct_config(self, monkeypatch):
         """LAMPS issues one list_schedule per distinct configuration.
 
-        With aliasing off, misses must equal the number of distinct
-        ``(n, policy, deadline-fingerprint)`` keys the search requested
-        and hits cover every repeat, with the obs counters agreeing.
+        With exact per-count caching, misses must equal the number of
+        distinct ``(n, policy, deadline-fingerprint)`` keys the search
+        requested and hits cover every repeat, with the obs counters
+        agreeing.
         """
+        _exact_counts(monkeypatch)
         g, deadline = _instance(n=60, seed=9)
-        plans = PlanCache(alias=False)
+        plans = PlanCache()
         obs = ObsLog()
         requested = []
         real = PlanCache.schedule
@@ -170,10 +196,11 @@ class TestHitMissAccounting:
         assert obs.counters["plan_cache.hits"] == plans.hits
         assert obs.counters["sched.schedules_built"] == distinct
 
-    def test_n_sweep_rerun_is_all_hits(self):
+    def test_n_sweep_rerun_is_all_hits(self, monkeypatch):
         """A second identical N-sweep on a warm cache builds nothing."""
+        _exact_counts(monkeypatch)
         g, deadline = _instance(n=40, seed=5)
-        plans = PlanCache(alias=False)
+        plans = PlanCache()
         first = energy_vs_processors(g, deadline, shutdown=True,
                                      plans=plans, obs=ObsLog())
         builds = plans.misses
@@ -191,11 +218,15 @@ class TestHitMissAccounting:
         # Sweep well past the graph's width so counts beyond it are
         # stall-free and servable from one aliased plan.
         g, deadline = _instance(n=40, seed=5)
-        exact = PlanCache(alias=False)
-        energy_vs_processors(g, deadline, max_processors=16, plans=exact)
-        aliased = PlanCache(alias=True)
+        aliased = PlanCache()
         energy_vs_processors(g, deadline, max_processors=16,
                              plans=aliased)
+        exact = PlanCache()
+        with pytest.MonkeyPatch.context() as mp:
+            _exact_counts(mp)
+            energy_vs_processors(g, deadline, max_processors=16,
+                                 plans=exact)
+        assert exact.misses == 16
         assert aliased.misses < exact.misses
 
 
@@ -220,7 +251,7 @@ class TestWidthAliasing:
     def test_cache_serves_wider_counts_from_stall_free_plan(self):
         g, deadline = _instance(n=20, seed=1)
         d = task_deadlines(g, deadline)
-        plans = PlanCache(alias=True)
+        plans = PlanCache()
         base = plans.schedule(g, 16, d)
         assert base.employed_processors < 16
         assert plans.misses == 1
@@ -233,20 +264,58 @@ class TestWidthAliasing:
         assert plans.misses == 2
 
 
-class TestPlanScope:
-    def test_audited_calls_get_fresh_exact_cache(self):
-        from repro.audit.report import AuditLog
+class TestStrictSharesTheCache:
+    def test_strict_uses_the_callers_cache(self):
+        g, deadline = _instance(n=40, seed=5)
+        plans = PlanCache()
+        lamps_search(g, deadline, shutdown=True, plans=plans)
+        builds = plans.misses
+        log = AuditLog(strict=True)
+        strict = lamps_search(g, deadline, shutdown=True, plans=plans,
+                              audit=log)
+        plain = lamps_search(g, deadline, shutdown=True)
+        assert plans.misses == builds  # the warm cache served strict
+        assert log.schedules_built == 0
+        assert strict.energy == plain.energy
+        assert strict.point == plain.point
 
-        shared = PlanCache()
-        scoped = plan_scope(shared, AuditLog())
-        assert scoped is not shared
-        assert scoped.alias is False
+    def test_every_alias_serve_is_verified(self):
+        g, deadline = _instance(n=20, seed=1)
+        d = task_deadlines(g, deadline)
+        plans = PlanCache()
+        log = AuditLog(strict=True)
+        plans.schedule(g, 16, d, log=log)
+        assert log.invariant_checks_passed == 1  # structure of the build
+        plans.schedule(g, 32, d, log=log)  # alias serve
+        assert plans.misses == 1
+        assert log.schedules_built == 1
+        assert log.invariant_checks_passed == 2  # the bytewise check
 
-    def test_unaudited_calls_share_or_create(self):
-        shared = PlanCache()
-        assert plan_scope(shared, None) is shared
-        fresh = plan_scope(None, None)
-        assert isinstance(fresh, PlanCache) and fresh.alias is True
+    def test_shifted_alias_serve_is_a_violation(self, monkeypatch):
+        """A stall-free plan with one start time shifted is caught when
+        the cache serves it for a wider count."""
+        g, deadline = _instance(n=20, seed=1)
+        d = task_deadlines(g, deadline)
+
+        def corrupted(graph, n, deadlines, **kwargs):
+            s = list_schedule(graph, n, deadlines, **kwargs)
+            if n != 16:
+                return s
+            starts = s.start_times.copy()
+            starts[-1] += 1.0
+            return Schedule.from_arrays(graph, n, starts,
+                                        s.finish_times.copy(),
+                                        s.task_processors.copy())
+
+        # Replacing the canonical name keeps aliasing on for the patch.
+        monkeypatch.setattr(plans_mod, "list_schedule", corrupted)
+        plans = PlanCache()
+        assert plans.schedule(g, 16, d).employed_processors < 16
+        log = AuditLog(strict=True)
+        with pytest.raises(AuditViolationError, match=r"^\[aliasing\]"):
+            plans.schedule(g, 32, d, log=log)
+        assert [v.kind for v in log.violations] == ["aliasing"]
+        assert "start_times" in log.violations[0].message
 
 
 class TestSweepEnergies:

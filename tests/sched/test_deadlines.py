@@ -1,5 +1,7 @@
 """Tests for ALAP deadline assignment."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,11 @@ class TestBasic:
     def test_non_positive_deadline_rejected(self, diamond):
         with pytest.raises(ValueError, match="positive"):
             task_deadlines(diamond, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_deadline_rejected(self, diamond, value):
+        with pytest.raises(ValueError, match="finite"):
+            task_deadlines(diamond, value)
 
 
 class TestFeasibility:
@@ -65,6 +72,12 @@ class TestOverrides:
     def test_non_positive_override_rejected(self, diamond):
         with pytest.raises(ValueError):
             task_deadlines(diamond, 10.0, overrides={"b": 0.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_override_rejected(self, diamond, value):
+        # min(d, nan) would silently keep d.
+        with pytest.raises(ValueError, match="finite"):
+            task_deadlines(diamond, 10.0, overrides={"b": value})
 
     def test_infeasible_override_detected(self, diamond):
         # b's earliest finish is 3 (a then b); the propagated deadline

@@ -92,6 +92,35 @@ class TestParseErrors:
         with pytest.raises(ProtocolError):
             parse_request(body, platform)
 
+    @pytest.mark.parametrize("body,field", [
+        # json.loads accepts Infinity/NaN; none of them may get through.
+        (b'{"graph": {"bundled": "robot"}, "deadline_cycles": Infinity}',
+         "deadline_cycles"),
+        (b'{"graph": {"bundled": "robot"}, "deadline_cycles": NaN}',
+         "deadline_cycles"),
+        (b'{"graph": {"bundled": "robot"}, "deadline_factor": Infinity}',
+         "deadline_factor"),
+        (_body(graph={"bundled": "robot"}, deadline_factor=1e308),
+         "deadline_factor"),                          # overflows x CPL
+        (b'{"graph": {"bundled": "robot", "scale": Infinity},'
+         b' "deadline_factor": 2.0}', "graph.scale"),
+        (b'{"graph": {"weights": [1.0, Infinity]},'
+         b' "deadline_cycles": 5.0}', "graph.weights"),
+        # JSON booleans are ints to isinstance, not numbers here.
+        (_body(graph={"weights": [1.0, 1.0], "edges": [[True, False]]},
+               deadline_cycles=5.0), "edge"),
+        (_body(graph={"weights": [1.0, True]}, deadline_cycles=5.0),
+         "graph.weights"),
+        (_body(graph=EXPLICIT, deadline_factor=True), "deadline_factor"),
+        (_body(graph=EXPLICIT, deadline_cycles=True), "deadline_cycles"),
+        (_body(graph={"bundled": "robot", "scale": True},
+               deadline_factor=2.0), "graph.scale"),
+    ])
+    def test_non_finite_and_boolean_numbers_rejected(self, body, field,
+                                                     platform):
+        with pytest.raises(ProtocolError, match=field):
+            parse_request(body, platform)
+
     def test_oversize_body_refused(self, platform):
         with pytest.raises(ProtocolError, match="too large"):
             parse_request(b" " * (MAX_BODY_BYTES + 1), platform)

@@ -179,6 +179,30 @@ class TestScheduling:
 
         _serve(body, cache_dir=str(tmp_path), window_seconds=0.05)
 
+    def test_infinite_deadline_is_400_and_computes_nothing(self, tmp_path):
+        async def body(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                payload = (b'{"graph": {"bundled": "robot"}, '
+                           b'"deadline_cycles": Infinity}')
+                writer.write(
+                    (f"POST /v1/schedule HTTP/1.1\r\nHost: t\r\n"
+                     f"Content-Length: {len(payload)}\r\n"
+                     f"Connection: close\r\n\r\n").encode() + payload)
+                await writer.drain()
+                raw = await reader.read()
+            finally:
+                writer.close()
+            head, _, doc = raw.partition(b"\r\n\r\n")
+            assert int(head.split(b" ", 2)[1]) == 400
+            doc = json.loads(doc)
+            assert doc["error"] == "bad_request"
+            assert "deadline_cycles" in doc["detail"]
+            assert server.batcher.stats.dispatches == 0
+            assert not list(tmp_path.rglob("*.json"))
+
+        _serve(body, cache_dir=str(tmp_path))
+
     def test_cacheless_server_computes_every_time(self, tmp_path):
         async def body(server, host, port):
             for want_dispatches in (1, 2):
