@@ -153,7 +153,7 @@ def audit_sweep(schedule: Schedule, points: Sequence[OperatingPoint],
                 log: AuditLog, context: str) -> None:
     """Every row of a batched ladder sweep equals the scalar reference.
 
-    ``energies[i]`` is the broadcast result for ``points[i]``; each row
+    ``energies[i]`` is the batched result for ``points[i]``; each row
     is recomputed with :func:`repro.core.energy.schedule_energy` and
     must match it exactly.  One passed check per matching row.
     """

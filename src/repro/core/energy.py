@@ -16,8 +16,10 @@ One scalar reference and one fast evaluator are provided.
 operating point, explicit per-processor loop.  Tests and the strict
 audit compare the fast path against it.  The fast path is
 :func:`repro.core.batch.batch_energy_sweep`, which evaluates many
-ladder sweeps over many schedules in one broadcast and reproduces the
-scalar results *bitwise*.  :func:`schedule_energy_sweep` is its
+ladder sweeps over many schedules in one call of the native sweep
+(:func:`repro.sched.ckernel.sweep_c`) and reproduces the scalar results
+*bitwise*; without the C kernel it runs the scalar loop
+(``_reference_sweep``) instead.  :func:`schedule_energy_sweep` is its
 one-schedule entry: ``schedule_energy_sweep(s, pts, D) ==
 [schedule_energy(s, p, D) for p in pts]`` exactly.  Callers that sweep
 many schedules should batch them through
@@ -152,6 +154,21 @@ def schedule_energy(schedule: Schedule, point: OperatingPoint,
             n_shutdowns += k
     return EnergyBreakdown(busy=busy, idle=idle, sleep=sleep_e,
                            overhead=overhead, n_shutdowns=n_shutdowns)
+
+
+def _reference_sweep(schedules: Sequence[Schedule],
+                     requests: Sequence) -> List[List[EnergyBreakdown]]:
+    """The scalar loop :func:`repro.core.batch.batch_energy_sweep` equals.
+
+    One breakdown list per :class:`~repro.core.batch.SweepRequest`,
+    evaluated point by point with :func:`schedule_energy` against
+    ``schedules[request.schedule_index]``.  The batch evaluator runs it
+    when the C kernel is off, and for sleep models whose shutdown rule
+    the native sweep does not know.
+    """
+    return [[schedule_energy(schedules[r.schedule_index], p,
+                             r.deadline_seconds, sleep=r.sleep)
+             for p in r.points] for r in requests]
 
 
 def schedule_energy_sweep(

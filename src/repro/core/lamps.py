@@ -110,7 +110,7 @@ def _walk_counts(sched: Builder, ratio: Ratio, first: int, last: int,
 
     The walk reads only makespans and required frequencies, never
     energy, so a caller can plan every candidate's ladder sweep first
-    and evaluate them all in one batched broadcast.
+    and evaluate them all in one batched sweep.
     """
     prev_makespan = math.inf
     for n in range(first, last + 1):
@@ -256,7 +256,7 @@ def lamps_search(
     Phase 2 plans first and evaluates once: the
     :func:`_walk_counts` walk collects every candidate's ladder sweep
     (the plateau stop reads only makespans), one
-    :func:`~repro.core.plans.sweep_energies` broadcast evaluates them
+    :func:`~repro.core.plans.sweep_energies` call evaluates them
     all, and :func:`_best_candidate` selects over the results.
 
     Raises:
@@ -365,7 +365,7 @@ def energy_vs_processors(
 
     This is :func:`lamps_search`'s phase-2 walk started at one
     processor, with the plateau stop off when ``max_processors`` is
-    given.  Every count's ladder is evaluated in one batched broadcast,
+    given.  Every count's ladder is evaluated in one batched sweep,
     and the strict-mode per-count energy audits run in ascending order.
 
     Raises:

@@ -10,7 +10,7 @@ and re-derive the same deadline vectors, top levels and required-
 frequency ratios.  A :class:`PlanCache` memoizes all of these for the
 lifetime of one instance, and :func:`sweep_energies` evaluates every
 planned ladder sweep of a search in a single
-:func:`~repro.core.batch.batch_energy_sweep` broadcast.
+:func:`~repro.core.batch.batch_energy_sweep` call (one native sweep).
 
 Why plan reuse is exact (DESIGN.md §12 carries the full argument):
 
@@ -96,7 +96,7 @@ class PlannedSweep:
 def sweep_energies(sweeps: Sequence[PlannedSweep],
                    deadline_seconds: Union[float, Sequence[float]]
                    ) -> List[List[EnergyBreakdown]]:
-    """Evaluate planned ladder sweeps in one batched broadcast.
+    """Evaluate planned ladder sweeps in one batched sweep.
 
     Stacks the distinct schedules of ``sweeps`` into one
     :class:`~repro.core.batch.ScheduleBatch` and evaluates every sweep

@@ -15,9 +15,10 @@ phase 1 and the phase-2 processor-count walk, each the one rule in
 :mod:`repro.core.lamps` that :func:`~repro.core.lamps.lamps_search`
 also runs — and emits the ordered list of ladder sweeps the searches
 need, without evaluating any energy (control flow is
-energy-independent; see DESIGN.md, "Why batched padded sweeps are
-exact").  One :func:`~repro.core.batch.batch_energy_sweep` broadcast
-evaluates every planned sweep of the chunk, and ``_finish_suite`` turns
+energy-independent; see DESIGN.md, "Why the native sweep is exact").
+One :func:`~repro.core.batch.batch_energy_sweep` call — one native
+sweep over every (schedule, point) lane — evaluates every planned sweep
+of the chunk, and ``_finish_suite`` turns
 the results back into the six
 :class:`~repro.core.results.ScheduleResult` entries with the shared
 selection, :func:`~repro.core.lamps._best_candidate`.  This is the only
@@ -250,7 +251,7 @@ def _annotate_instance_failure(exc: BaseException, index: int,
 
 def _audit_rows(plan: _SuitePlan,
                 energies: Sequence[List[EnergyBreakdown]]) -> None:
-    """Strict row check of one instance's slice of the broadcast."""
+    """Strict row check of one instance's slice of the sweep."""
     assert plan.log is not None
     for ps, row in zip(plan.sweeps, energies):
         audit_sweep(ps.schedule, ps.points, row, plan.deadline_seconds,
@@ -268,7 +269,7 @@ def paper_suite_batch(
     audit: Optional[AuditLog] = None,
     obs: Optional[ObsLog] = None,
 ) -> List[Dict[Heuristic, ScheduleResult]]:
-    """The paper suite on a chunk of instances, one broadcast sweep.
+    """The paper suite on a chunk of instances, one batched sweep.
 
     Plans every instance sequentially (so any
     :class:`~repro.core.results.InfeasibleScheduleError` surfaces for
@@ -285,7 +286,7 @@ def paper_suite_batch(
     ``strict``/``audit`` run the :mod:`repro.audit` invariant checks on
     every intermediate schedule, every width-alias serve of the plan
     cache and every schedule-bearing result, and
-    cross-check every broadcast row against the scalar
+    cross-check every sweep row against the scalar
     :func:`~repro.core.energy.schedule_energy` bitwise (``strict``
     alone uses a fresh :class:`~repro.audit.report.AuditLog` per
     instance).  ``obs`` records a ``suite.batch`` span around

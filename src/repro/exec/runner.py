@@ -8,7 +8,7 @@ over the pool, store fresh summaries, and hand back restored
 
 Misses travel in contiguous *chunks* through
 :func:`repro.exec.pool.run_instances`: each chunk is one
-:func:`repro.core.suite.paper_suite_batch` broadcast in the worker, and
+:func:`repro.core.suite.paper_suite_batch` call in the worker, and
 its :func:`~repro.exec.cache.summarize_results` payloads come back
 pickled.  Strict and profile campaigns run the same chunks; their
 workers also return the chunk's audit counters and obs payload.  All modes —
@@ -63,7 +63,7 @@ class ExecOptions:
             never changes the results or the cache bytes.
         batch_chunk: instances per chunk (the unit of pool dispatch
             and of one :class:`~repro.core.batch.ScheduleBatch`
-            broadcast).
+            sweep).
         cache_max_bytes: size bound of the on-disk cache; when set, the
             cache evicts least-recently-used entries (and sweeps
             orphaned temp files) as it grows past the budget — the
@@ -240,7 +240,7 @@ def evaluate_suite_instances(
             pending.append(i)
 
     # Contiguous chunks of pending instances, each evaluated by one
-    # paper_suite_batch broadcast in a worker, whose summary payloads
+    # paper_suite_batch call in a worker, whose summary payloads
     # come back pickled.
     chunksize = max(1, options.batch_chunk)
     total = len(pending)

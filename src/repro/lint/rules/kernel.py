@@ -55,10 +55,12 @@ _PROTECTED_ATTRS = frozenset({
     "_starts", "_finish", "_procs", "_order", "_bounds",
     "_proc_busy", "_proc_last", "_gap_lo", "_gap_hi", "_gap_len",
     "_gap_bounds",
-    # ScheduleBatch's stacked kernel arrays (repro.core.batch).
+    # ScheduleBatch's CSR arrays (repro.core.batch), and the names of
+    # its earlier padded layout, which stay reserved.
+    "member_offsets", "employed_ids", "proc_busy", "proc_last",
+    "gap_offsets", "gap_flat", "makespans",
     "starts", "finishes", "procs", "task_mask", "employed_counts",
-    "employed_ids", "proc_busy", "proc_last", "gap_flat",
-    "gap_counts", "gap_starts", "makespans",
+    "gap_counts", "gap_starts",
 })
 
 _PRIVATE_KERNEL_METHODS = frozenset({"_init_arrays", "_materialize"})

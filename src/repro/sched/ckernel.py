@@ -1,6 +1,6 @@
-"""Optional C accelerator for the planning layer.
+"""Optional C accelerator for the planning layer and the ladder sweep.
 
-The C source below has three routines, compiled on first use with the
+The C source below has four routines, compiled on first use with the
 system C compiler and loaded through :mod:`ctypes`:
 
 * ``repro_list_schedule`` — the event loop of
@@ -15,13 +15,17 @@ system C compiler and loaded through :mod:`ctypes`:
   constructor ``Schedule._adopt``;
 * ``repro_levels`` — ALAP deadlines and top levels in one pass each
   over the successor CSR in topological order, behind
-  :func:`levels_c`.
+  :func:`levels_c`;
+* ``repro_sweep`` — every (request, point) lane of a batch of DVS
+  ladder sweeps, behind :func:`sweep_c`, which
+  :func:`repro.core.batch.batch_energy_sweep` calls once per batch.
 
 No third-party package is required.  ``REPRO_NO_CKERNEL`` gates all
-three together, and when no compiler is available (or compilation,
+four together, and when no compiler is available (or compilation,
 loading, or the import-time self-test fails for any reason) the module
 degrades silently to the Python references: the ``heapq`` loop with
-``Schedule.from_arrays``, and the loops of :mod:`repro.graphs.analysis`.
+``Schedule.from_arrays``, the loops of :mod:`repro.graphs.analysis`,
+and the scalar :func:`repro.core.energy.schedule_energy` loop.
 
 Determinism: every heap holds strictly totally ordered entries, so the
 pop sequence of any correct min-heap is unique; the C heaps compare
@@ -29,22 +33,27 @@ pop sequence of any correct min-heap is unique; the C heaps compare
 loop's only floating-point arithmetic is the same ``finish = time +
 w[v]`` IEEE-754 double addition.  The derive repeats
 ``_init_arrays``'s subtractions and its sequential prefix sum in the
-same order, and the levels take exact minima and maxima.  Every array
-is therefore *identical* to the reference's (asserted by an
-import-time self-test here and by the differential suite in
-``tests/sched/test_ckernel.py``), so the gate selects between
+same order, and the levels take exact minima and maxima.  The sweep
+repeats ``schedule_energy``'s operations lane by lane, with a port of
+numpy's pairwise summation for the gap sums, and the compile flags
+(:data:`_CFLAGS`) forbid contracting a multiply and an add into one
+FMA.  Every result is therefore *identical* to the reference's
+(asserted by an import-time self-test here and by the differential
+suites in ``tests/sched/test_ckernel.py`` and
+``tests/core/test_batch_sweep.py``), so the gate selects between
 bitwise-identical backends and can never change results, reports, or
 cache bytes.
 
 Calls pass raw addresses (``c_void_p``).  The addresses of a graph's
 constant arrays are taken once per process and kept in
 :meth:`TaskGraph.binding <repro.graphs.dag.TaskGraph.binding>`, which
-pickling drops.
+pickling drops.  No routine keeps static state: ctypes releases the GIL
+during a call, and the service calls the kernel from executor threads.
 
 The compiled object is cached under ``~/.cache/repro`` keyed by a hash
-of the C source, so each source revision compiles once per machine;
-the write is atomic (``os.replace``), so concurrent workers race
-benignly.
+of the C source and the compile command, so each revision of either
+compiles once per machine; the write is atomic (``os.replace``), so
+concurrent workers race benignly.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from .eventloop import heapq_schedule
 from .schedule import Schedule, same_kernel
 
 __all__ = ["CKERNEL_ACTIVE", "levels_c", "plan_schedule_c",
-           "schedule_kernel_c"]
+           "schedule_kernel_c", "sweep_c"]
 
 # Backend selection only — both backends are bitwise-identical, so this
 # flag cannot affect results, reports, or cache bytes.
@@ -348,17 +357,159 @@ void repro_levels(i64 n, const i64 *topo, const double *w,
         }
     }
 }
+
+/* numpy's DOUBLE_pairwise_sum (what np.sum does to a contiguous float64
+ * vector): a plain loop below 8 elements, eight accumulators up to 128,
+ * and above that a split at n/2 rounded down to a multiple of 8. */
+static double pairwise(const double *a, i64 n) {
+    i64 i;
+    if (n < 8) {
+        double res = 0.;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        for (i = 0; i < 8; i++)
+            r[i] = a[i];
+        for (i = 8; i < n - (n % 8); i += 8) {
+            r[0] += a[i + 0]; r[1] += a[i + 1];
+            r[2] += a[i + 2]; r[3] += a[i + 3];
+            r[4] += a[i + 4]; r[5] += a[i + 5];
+            r[6] += a[i + 6]; r[7] += a[i + 7];
+        }
+        res = ((r[0] + r[1]) + (r[2] + r[3])) +
+              ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    } else {
+        i64 n2 = n / 2;
+        n2 -= n2 % 8;
+        return pairwise(a, n2) + pairwise(a + n2, n - n2);
+    }
+}
+
+/* Ladder sweeps over CSR-packed schedules, one lane per (request,
+ * point) in request-major order, each lane computed with the
+ * operations of repro.core.energy.schedule_energy in the same order.
+ *   req  = [member, n_points, sleep flag] per request
+ *   reqf = [window, sleep power, overhead energy] per request
+ *   pts  = [frequency, energy per cycle, idle power] per lane
+ *   member_offsets (members + 1) -> employed-processor slots
+ *   busy, last, gap_offsets (slots + 1) -> gaps (internal gap cycles)
+ *   out  = [busy, idle, sleep, overhead] per lane; shut = shutdowns
+ * Returns 0; 1 at the first lane whose window is too short, with
+ * bad = [lane, slot] (slot -1: the makespan guard); -1 when the
+ * scratch allocation fails. */
+int repro_sweep(i64 n_requests, const i64 *req, const double *reqf,
+                const double *pts, const i64 *member_offsets,
+                const double *makespans, const double *busy,
+                const double *last, const i64 *gap_offsets,
+                const double *gaps, double *out, i64 *shut, i64 *bad) {
+    i64 r, j, q, g, lane = 0, cap = 1;
+    /* Scratch for one slot's gap row in seconds; under PS it is
+     * compacted in place to the gaps that stay on, and off receives
+     * the gaps that shut down. */
+    double *stay, *off;
+    for (r = 0; r < n_requests; r++) {
+        i64 m = req[3 * r];
+        for (j = member_offsets[m]; j < member_offsets[m + 1]; j++)
+            if (gap_offsets[j + 1] - gap_offsets[j] + 1 > cap)
+                cap = gap_offsets[j + 1] - gap_offsets[j] + 1;
+    }
+    stay = (double *)malloc((size_t)(2 * cap) * sizeof(double));
+    if (stay == NULL)
+        return -1;
+    off = stay + cap;
+    for (r = 0; r < n_requests; r++) {
+        i64 m = req[3 * r], n_points = req[3 * r + 1];
+        int use_sleep = req[3 * r + 2] != 0;
+        double window = reqf[3 * r], sp = reqf[3 * r + 1];
+        double oh = reqf[3 * r + 2];
+        for (q = 0; q < n_points; q++, lane++) {
+            double f = pts[3 * lane], epc = pts[3 * lane + 1];
+            double ip = pts[3 * lane + 2];
+            double h = window * f;
+            double e_busy = 0.0, e_idle = 0.0, e_sleep = 0.0, e_over = 0.0;
+            i64 n_shut = 0;
+            if (makespans[m] > h * (1.0 + 1e-9)) {
+                bad[0] = lane;
+                bad[1] = -1;
+                free(stay);
+                return 1;
+            }
+            for (j = member_offsets[m]; j < member_offsets[m + 1]; j++) {
+                const double *internal = gaps + gap_offsets[j];
+                i64 n_gaps = gap_offsets[j + 1] - gap_offsets[j];
+                double t = last[j];
+                double at = t < 0.0 ? -t : t;
+                double tol = 1e-9 * (at > 1.0 ? at : 1.0);
+                if (h < t - tol) {
+                    bad[0] = lane;
+                    bad[1] = j;
+                    free(stay);
+                    return 1;
+                }
+                e_busy += busy[j] * epc;
+                for (g = 0; g < n_gaps; g++)
+                    stay[g] = internal[g] / f;
+                if (h > t + tol)
+                    stay[n_gaps++] = (h - t) / f;
+                if (n_gaps == 0)
+                    continue;
+                if (!use_sleep) {
+                    e_idle += pairwise(stay, n_gaps) * ip;
+                } else {
+                    /* Order-preserving split on the SleepModel rule. */
+                    i64 n_stay = 0, k = 0;
+                    for (g = 0; g < n_gaps; g++) {
+                        double x = stay[g];
+                        if ((oh + x * sp) < x * ip)
+                            off[k++] = x;
+                        else
+                            stay[n_stay++] = x;
+                    }
+                    e_idle += pairwise(stay, n_stay) * ip;
+                    e_sleep += pairwise(off, k) * sp;
+                    e_over += (double)k * oh;
+                    n_shut += k;
+                }
+            }
+            out[4 * lane] = e_busy;
+            out[4 * lane + 1] = e_idle;
+            out[4 * lane + 2] = e_sleep;
+            out[4 * lane + 3] = e_over;
+            shut[lane] = n_shut;
+        }
+    }
+    free(stay);
+    return 0;
+}
 """
+
+
+#: How the kernel is compiled.  ``-ffp-contract=off`` keeps every
+#: multiply and add a separately rounded operation, as in numpy and
+#: Python: GNU C's default ``-ffp-contract=fast`` fuses ``a * b + c``
+#: into an FMA wherever the target has one, which changes last bits.
+#: Never add ``-ffast-math`` or ``-Ofast``: reassociation would break the
+#: pairwise sums.  CI compiles the source with these flags too.
+_CFLAGS = ("-std=c99", "-O2", "-ffp-contract=off")
 
 
 def _compile_cached() -> Optional[str]:
     """Compile the kernel into the per-user cache; path or ``None``.
 
-    The object name embeds a hash of the C source, so stale objects are
-    never reused across source revisions; concurrent builders race
-    benignly through an atomic ``os.replace``.
+    The object name embeds a hash of the C source and of the compile
+    command, so stale objects are never reused across source or flag
+    revisions; concurrent builders race benignly through an atomic
+    ``os.replace``.
     """
-    tag = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    command = ["cc", *_CFLAGS, "-fPIC", "-shared"]
+    tag = hashlib.sha256(
+        "\0".join([_SOURCE, *command]).encode()).hexdigest()[:16]
     cache_dir = os.path.join(
         os.path.expanduser("~"), ".cache", "repro")
     so_path = os.path.join(cache_dir, f"listsched-{tag}.so")
@@ -370,9 +521,8 @@ def _compile_cached() -> Optional[str]:
         with os.fdopen(fd, "w") as f:
             f.write(_SOURCE)
         tmp_so = c_path[:-2] + ".so"
-        subprocess.run(
-            ["cc", "-O2", "-fPIC", "-shared", "-o", tmp_so, c_path],
-            check=True, capture_output=True, timeout=120)
+        subprocess.run(command + ["-o", tmp_so, c_path],
+                       check=True, capture_output=True, timeout=120)
         os.replace(tmp_so, so_path)
     finally:
         try:
@@ -420,8 +570,9 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def _wrap(lib: ctypes.CDLL) -> Tuple[Callable, Callable, Callable]:
-    """Python entry points over the three C routines of ``lib``."""
+def _wrap(lib: ctypes.CDLL
+          ) -> Tuple[Callable, Callable, Callable, Callable]:
+    """Python entry points over the four C routines of ``lib``."""
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     raw = lib.repro_list_schedule
     raw.restype = ctypes.c_int
@@ -432,6 +583,9 @@ def _wrap(lib: ctypes.CDLL) -> Tuple[Callable, Callable, Callable]:
     raw_levels = lib.repro_levels
     raw_levels.restype = None
     raw_levels.argtypes = [i64] + [ptr] * 6
+    raw_sweep = lib.repro_sweep
+    raw_sweep.restype = ctypes.c_int
+    raw_sweep.argtypes = [i64] + [ptr] * 12
 
     def kernel(keys: np.ndarray, w: np.ndarray,
                succ_flat: np.ndarray, succ_offsets: np.ndarray,
@@ -481,11 +635,89 @@ def _wrap(lib: ctypes.CDLL) -> Tuple[Callable, Callable, Callable]:
                    None if deadlines is None else _address(deadlines),
                    None if top_levels is None else _address(top_levels))
 
-    return kernel, plan, levels
+    def sweep(req: np.ndarray, reqf: np.ndarray, pts: np.ndarray,
+              member_offsets: np.ndarray, makespans: np.ndarray,
+              busy: np.ndarray, last: np.ndarray, gap_offsets: np.ndarray,
+              gaps: np.ndarray) -> tuple:
+        n_lanes = pts.shape[0]
+        out = np.empty((n_lanes, 4))
+        shut = np.empty(n_lanes, dtype=np.intp)
+        bad = np.empty(2, dtype=np.intp)
+        rc = raw_sweep(req.shape[0], req.ctypes.data, reqf.ctypes.data,
+                       pts.ctypes.data, member_offsets.ctypes.data,
+                       makespans.ctypes.data, busy.ctypes.data,
+                       last.ctypes.data, gap_offsets.ctypes.data,
+                       gaps.ctypes.data, out.ctypes.data,
+                       shut.ctypes.data, bad.ctypes.data)
+        if rc < 0:  # pragma: no cover - malloc failure
+            raise MemoryError("C sweep kernel allocation failed")
+        return out, shut, (tuple(bad.tolist()) if rc else None)
+
+    return kernel, plan, levels, sweep
+
+
+def _sweep_self_test(sweep: Callable) -> bool:
+    """Differentially test the native sweep against ``np.sum`` folds.
+
+    Two members, with and without the sleep rule: one row of 200
+    internal gaps (past the pairwise split at 128), short rows, a
+    gap-less slot whose last finish meets the horizon, and gaps on
+    both sides of the shutdown breakeven.  The reference repeats
+    :func:`repro.core.energy.schedule_energy`'s operations inline (this
+    module sits below :mod:`repro.core`).  A too-short window must
+    name its first lane.
+    """
+    gaps = np.array([1e6 / (k + 1) + 1e4 * (k % 7) for k in range(205)])
+    member_offsets = np.array([0, 3, 4], dtype=np.intp)
+    gap_offsets = np.array([0, 200, 205, 205, 205], dtype=np.intp)
+    busy = np.array([7.0e6, 3.3e6, 1.1e6, 2.5e6])
+    last = np.array([9.1e6, 8.7e6, 1.0e7, 2.0e6])
+    makespans = np.array([1.0e7, 2.0e6])
+    req = np.array([[0, 2, 0], [0, 2, 1], [1, 1, 1]], dtype=np.intp)
+    reqf = np.array([[0.01, 0.0, 0.0], [0.012, 50e-6, 483e-6],
+                     [0.003, 50e-6, 483e-6]])
+    pts = np.array([[1.0e9, 3.1e-10, 0.11], [2.0e9, 5.3e-10, 0.23],
+                    [1.0e9, 3.1e-10, 0.11], [2.0e9, 5.3e-10, 0.23],
+                    [1.5e9, 4.2e-10, 0.17]])
+    want = []
+    lane = 0
+    for (m, n_points, use_sleep), (window, sp, oh) in zip(
+            req.tolist(), reqf.tolist()):
+        for _ in range(n_points):
+            f, epc, ip = pts[lane].tolist()
+            lane += 1
+            h = window * f
+            e = [0.0, 0.0, 0.0, 0.0, 0]
+            for j in range(member_offsets[m], member_offsets[m + 1]):
+                e[0] += float(busy[j]) * epc
+                t = float(last[j])
+                row = gaps[gap_offsets[j]:gap_offsets[j + 1]]
+                if h > t + 1e-9 * max(1.0, abs(t)):
+                    row = np.append(row, h - t)
+                row = row / f
+                if row.size == 0:
+                    continue
+                if not use_sleep:
+                    e[1] += float(row.sum()) * ip
+                    continue
+                off = (oh + row * sp) < row * ip
+                e[1] += float(row[~off].sum()) * ip
+                e[2] += float(row[off].sum()) * sp
+                e[3] += int(off.sum()) * oh
+                e[4] += int(off.sum())
+            want.append(e)
+    arrays = (member_offsets, makespans, busy, last, gap_offsets, gaps)
+    out, shut, bad = sweep(req, reqf, pts, *arrays)
+    got = [row + [k] for row, k in zip(out.tolist(), shut.tolist())]
+    if bad is not None or got != want or not 0 < shut.sum() < 205:
+        return False
+    short = np.array([[0.01, 0.0, 0.0], [1e-3, 0.0, 0.0]])
+    return sweep(req[[0, 2]], short, pts[[0, 1, 4]], *arrays)[2] == (2, -1)
 
 
 def _self_test(fn: Callable, plan: Optional[Callable] = None,
-               levels: Optional[Callable] = None) -> bool:
+               levels: Optional[Callable] = None,
+               sweep: Optional[Callable] = None) -> bool:
     """Differentially test the loaded routines against the Python ones.
 
     A fork–join graph on two processors exercises every code path of
@@ -532,10 +764,10 @@ def _self_test(fn: Callable, plan: Optional[Callable] = None,
         if d.tobytes() != want_d.tobytes() or \
                 tl.tobytes() != _top_levels_loop(fork_join).tobytes():
             return False
-    return True
+    return sweep is None or _sweep_self_test(sweep)
 
 
-def _load() -> Optional[Tuple[Callable, Callable, Callable]]:
+def _load() -> Optional[Tuple[Callable, Callable, Callable, Callable]]:
     if _DISABLED:
         return None
     try:
@@ -547,10 +779,11 @@ def _load() -> Optional[Tuple[Callable, Callable, Callable]]:
         return None
 
 
-_kernel, _plan, _levels = _load() or (None, None, None)
+_kernel, _plan, _levels, _sweep = _load() or (None, None, None, None)
 
 #: True when the C routines (:func:`schedule_kernel_c`,
-#: :func:`plan_schedule_c`, :func:`levels_c`) dispatch to compiled code.
+#: :func:`plan_schedule_c`, :func:`levels_c`, :func:`sweep_c`) dispatch
+#: to compiled code.
 CKERNEL_ACTIVE = _kernel is not None
 
 
@@ -602,3 +835,52 @@ def levels_c(graph: TaskGraph, deadlines: Optional[np.ndarray],
     if _levels is None:  # pragma: no cover - guarded by callers
         raise RuntimeError("C scheduler kernel is not available")
     _levels(graph, deadlines, top_levels)
+
+
+def sweep_c(req: np.ndarray, reqf: np.ndarray, pts: np.ndarray,
+            member_offsets: np.ndarray, makespans: np.ndarray,
+            busy: np.ndarray, last: np.ndarray, gap_offsets: np.ndarray,
+            gaps: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[int, int]]]:
+    """Every (request, point) lane of a batch of ladder sweeps, natively.
+
+    The request table ``req`` holds ``(member, n_points, sleep flag)``
+    rows (``intp``, shape ``(requests, 3)``) and ``reqf`` the matching
+    ``(window seconds, sleep power, overhead energy)`` rows; ``pts``
+    holds one ``(frequency, energy per cycle, idle power)`` row per
+    lane, lanes in request-major order.  The schedule side is the CSR
+    layout of :class:`~repro.core.batch.ScheduleBatch`.  Arrays are
+    passed on as C-contiguous ``float64`` / ``intp``; inconsistent
+    shapes or a member index out of range raise ``ValueError``.
+
+    Returns ``(out, shutdowns, bad)``: ``out`` holds one ``(busy, idle,
+    sleep, overhead)`` row per lane, each lane computed with the
+    operations of :func:`repro.core.energy.schedule_energy` in the same
+    order, so bitwise equal to it.  ``bad`` is ``None``, or ``(lane,
+    slot)`` for the first lane whose window is too short (``slot`` is
+    -1 when the makespan guard fails, else the first employed slot
+    whose last finish lies past the horizon); the other rows are then
+    undefined.
+    """
+    if _sweep is None:  # pragma: no cover - guarded by callers
+        raise RuntimeError("C scheduler kernel is not available")
+    req, member_offsets, gap_offsets = (
+        np.ascontiguousarray(a, dtype=np.intp)
+        for a in (req, member_offsets, gap_offsets))
+    reqf, pts, makespans, busy, last, gaps = (
+        np.ascontiguousarray(a, dtype=np.float64)
+        for a in (reqf, pts, makespans, busy, last, gaps))
+    n_slots = busy.shape[0]
+    if req.ndim != 2 or req.shape[1] != 3 or reqf.shape != req.shape \
+            or pts.ndim != 2 or pts.shape[1] != 3 \
+            or pts.shape[0] != int(req[:, 1].sum()) \
+            or member_offsets.shape != (makespans.shape[0] + 1,) \
+            or last.shape != (n_slots,) \
+            or gap_offsets.shape != (n_slots + 1,) \
+            or (req.size and not 0 <= req[:, 0].min() <= req[:, 0].max()
+                < makespans.shape[0]) \
+            or member_offsets[-1] != n_slots \
+            or gap_offsets[-1] != gaps.shape[0]:
+        raise ValueError("inconsistent sweep tables")
+    return _sweep(req, reqf, pts, member_offsets, makespans, busy, last,
+                  gap_offsets, gaps)

@@ -11,8 +11,8 @@ content-addressed instance digest:
 * **Batching** — queued misses are collected for a short linger window
   (``window_seconds``) and dispatched *together* as one
   :func:`repro.exec.runner.evaluate_suite_instances` call, which chunks
-  them through :func:`repro.core.suite.paper_suite_batch` broadcast
-  sweeps and (with ``jobs > 1``) the shared-memory pool fan-out — the
+  them through :func:`repro.core.suite.paper_suite_batch` batched
+  sweeps and (with ``jobs > 1``) the pool fan-out — the
   PR-6 campaign engine, now fed by live traffic.  Only requests with
   the same policy share a dispatch (the platform is server-wide);
   mixed-policy bursts dispatch in arrival-order groups.

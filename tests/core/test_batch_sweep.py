@@ -16,15 +16,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.core.batch as batch_mod
 from repro.core.batch import ScheduleBatch, SweepRequest, batch_energy_sweep
 from repro.core.energy import schedule_energy
 from repro.core.platform import default_platform
 from repro.core.stretch import feasible_points, required_frequency
 from repro.graphs.analysis import critical_path_length
+from repro.graphs.dag import TaskGraph
 from repro.graphs.generators import stg_random_graph
 from repro.power.shutdown import SleepModel
 from repro.sched.deadlines import task_deadlines
 from repro.sched.list_scheduler import list_schedule
+from repro.sched.schedule import Schedule
 
 PLATFORM = default_platform()
 
@@ -59,6 +62,12 @@ def batches(draw):
     return batch, requests
 
 
+def _bits(b):
+    """A breakdown's exact bit patterns (``==`` would merge -0.0/0.0)."""
+    return (np.array([b.busy, b.idle, b.sleep, b.overhead]).tobytes(),
+            b.n_shutdowns)
+
+
 def assert_bitwise_equal(got, want):
     assert len(got) == len(want)
     for b_got, b_want in zip(got, want):
@@ -67,6 +76,7 @@ def assert_bitwise_equal(got, want):
         assert b_got.sleep == b_want.sleep
         assert b_got.overhead == b_want.overhead
         assert b_got.n_shutdowns == b_want.n_shutdowns
+        assert _bits(b_got) == _bits(b_want)
 
 
 def scalar_sweep(schedule, points, window, sleep=None):
@@ -210,9 +220,11 @@ class TestBatchShapes:
     def test_arrays_are_frozen(self):
         members = self._members()
         batch = ScheduleBatch.from_schedules([s for s, _, _ in members])
-        for name in ("starts", "finishes", "procs", "task_mask",
-                     "proc_busy", "proc_last", "gap_flat", "makespans"):
+        for name in ("n_tasks", "makespans", "member_offsets",
+                     "employed_ids", "proc_busy", "proc_last",
+                     "gap_offsets", "gap_flat"):
             arr = getattr(batch, name)
+            assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
 
@@ -230,23 +242,30 @@ class TestBatchShapes:
         with pytest.raises(IndexError, match="outside batch"):
             batch_energy_sweep(batch, [SweepRequest(1, points, window)])
 
-    def test_padding_rows_match_members(self):
+    def test_csr_slices_match_members(self):
         members = self._members()
+        members.insert(1, _instance(0, 1, 8, 2.0))  # one employed slot
         batch = ScheduleBatch.from_schedules([s for s, _, _ in members])
+        assert batch.size == len(members)
+        assert batch.member_offsets[0] == 0
+        assert batch.member_offsets[-1] == batch.employed_ids.size
+        assert batch.gap_offsets[-1] == batch.gap_flat.size
         for i, (s, _, _) in enumerate(members):
-            n = s.graph.n
-            assert batch.n_tasks[i] == n
-            assert np.array_equal(batch.starts[i, :n], s.start_times)
-            assert np.array_equal(batch.finishes[i, :n], s.finish_times)
-            assert np.array_equal(batch.procs[i, :n], s.task_processors)
-            assert batch.task_mask[i, :n].all()
-            assert not batch.task_mask[i, n:].any()
-            e = s.employed_processors
+            assert batch.n_tasks[i] == s.graph.n
+            assert batch.makespans[i] == s.makespan
+            lo, hi = batch.member_offsets[i], batch.member_offsets[i + 1]
             ids = np.asarray(s.employed_processor_ids)
-            assert np.array_equal(batch.employed_ids[i, :e], ids)
-            assert (batch.employed_ids[i, e:] == -1).all()
-            assert np.array_equal(batch.proc_busy[i, :e],
+            assert np.array_equal(batch.employed_ids[lo:hi], ids)
+            assert np.array_equal(batch.proc_busy[lo:hi],
                                   s.proc_busy_cycles[ids])
+            assert np.array_equal(batch.proc_last[lo:hi],
+                                  s.proc_last_finish[ids])
+            flat, bounds = s.internal_gap_cycles
+            for j, p in zip(range(lo, hi), ids):
+                row = batch.gap_flat[batch.gap_offsets[j]:
+                                     batch.gap_offsets[j + 1]]
+                assert np.array_equal(row, flat[bounds[p]:bounds[p + 1]])
+        assert batch.max_tasks == max(s.graph.n for s, _, _ in members)
 
 
 class TestBatchExceptionOrder:
@@ -304,3 +323,169 @@ class TestBatchExceptionOrder:
         if serial_err is None:
             for g_list, w_list in zip(got, want):
                 assert_bitwise_equal(g_list, w_list)
+
+
+# ----------------------------------------------------------------------
+# Long gap rows: every branch of the pairwise sum
+# ----------------------------------------------------------------------
+
+#: Internal gaps per processor row: each side of the 8-element block
+#: and of the 128-element split, several recursion depths, and past
+#: numpy's 8192-element buffer.
+ROW_LENGTHS = (0, 1, 7, 8, 9, 15, 16, 127, 128, 129, 136, 257, 1000, 8193)
+
+
+def _gap_row_schedule(n_gaps, seed):
+    """A one-processor schedule on an edge-free graph with ``n_gaps``
+    internal gaps of widely varying length (so summation order shows).
+    """
+    rng = np.random.default_rng(seed)
+    n = max(n_gaps, 1)
+    gaps = rng.uniform(1e3, 1e7, n_gaps) * rng.choice(
+        [1.0, 1e-3, 37.0], n_gaps)
+    weights = rng.uniform(1e3, 1e6, n)
+    starts = np.empty(n)
+    finishes = np.empty(n)
+    t = 0.0
+    for k in range(n):
+        if k < n_gaps:
+            t += gaps[k]
+        starts[k] = t
+        t = t + weights[k]
+        finishes[k] = t
+    graph = TaskGraph(dict(enumerate((finishes - starts).tolist())))
+    return Schedule.from_arrays(graph, 1, starts, finishes,
+                                np.zeros(n, dtype=np.intp))
+
+
+class TestLongGapRows:
+    """Rows of 0 to 8,193 gaps, with and without a trailing gap."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        schedules = [_gap_row_schedule(n, seed)
+                     for seed, n in enumerate(ROW_LENGTHS)]
+        for s, n in zip(schedules, ROW_LENGTHS):
+            assert s.internal_gap_cycles[0].size == n
+        return schedules, ScheduleBatch.from_schedules(schedules)
+
+    @pytest.mark.parametrize("sleep", [None, PLATFORM.sleep],
+                             ids=["no-sleep", "sleep"])
+    def test_bitwise_equal_to_scalar(self, rows, sleep):
+        schedules, batch = rows
+        points = tuple(PLATFORM.ladder[-4:])
+        requests = []
+        for i, s in enumerate(schedules):
+            # The last finish is the horizon: no trailing gap.
+            requests += [SweepRequest(i, (p,), s.makespan / p.frequency,
+                                      sleep) for p in points]
+            # A longer window: one trailing gap after the internal ones.
+            requests.append(SweepRequest(
+                i, points, 3.0 * s.makespan / points[0].frequency, sleep))
+        got = batch_energy_sweep(batch, requests)
+        want = serial_reference(batch, requests)
+        for g_list, w_list in zip(got, want):
+            assert_bitwise_equal(g_list, w_list)
+        if sleep is not None:  # both sides of the shutdown rule ran
+            shut = [b.n_shutdowns for lst in got for b in lst]
+            assert max(shut) > 0
+            assert any(b.idle > 0 for lst in got for b in lst)
+
+
+# ----------------------------------------------------------------------
+# Sleep models: custom rules and metamorphic checks
+# ----------------------------------------------------------------------
+
+class NeverSleep(SleepModel):
+    """A custom rule the native sweep does not know: never shut down."""
+
+    __slots__ = ()
+
+    def would_shut_down(self, duration_seconds, idle_power_watts):
+        return np.zeros(np.shape(duration_seconds), dtype=bool)
+
+
+def _with_sleep(requests, sleep):
+    return [SweepRequest(r.schedule_index, r.points, r.deadline_seconds,
+                         sleep=sleep) for r in requests]
+
+
+def _n_gaps(schedule, point, window):
+    h = window * point.frequency
+    return sum(schedule.gap_lengths(p, h).size
+               for p in schedule.employed_processor_ids)
+
+
+class TestSleepModels:
+    def test_custom_model_is_honoured(self):
+        s, points, window = _instance(7, 20, 2, 4.0)
+        batch = ScheduleBatch.from_schedules([s])
+        never = NeverSleep()
+        got = batch_energy_sweep(batch, [
+            SweepRequest(0, points, window, sleep=never),
+            SweepRequest(0, points, window, sleep=SleepModel())])
+        assert_bitwise_equal(got[0], scalar_sweep(s, points, window,
+                                                  sleep=never))
+        assert all(b.n_shutdowns == 0 for b in got[0])
+        assert any(b.n_shutdowns > 0 for b in got[1])
+        assert [_bits(b) for b in got[0]] != [_bits(b) for b in got[1]]
+
+    def test_custom_model_window_errors_keep_request_order(self):
+        s1, points1, window1 = _instance(7, 20, 2, 2.0)
+        s2, _, _ = _instance(11, 25, 2, 1.1)
+        slow = PLATFORM.ladder[0]
+        batch = ScheduleBatch.from_schedules([s1, s2])
+        requests = [SweepRequest(0, points1, window1, sleep=NeverSleep()),
+                    SweepRequest(1, tuple(PLATFORM.ladder),
+                                 0.5 * s2.makespan / slow.frequency,
+                                 sleep=NeverSleep())]
+        with pytest.raises(ValueError) as serial_exc:
+            serial_reference(batch, requests)
+        with pytest.raises(ValueError) as batch_exc:
+            batch_energy_sweep(batch, requests)
+        assert str(batch_exc.value) == str(serial_exc.value)
+
+    @given(batches())
+    @settings(max_examples=20, deadline=None)
+    def test_free_sleep_shuts_every_gap(self, drawn):
+        """No sleep power, no overhead: every gap is slept away."""
+        batch, requests = drawn
+        got = batch_energy_sweep(batch, _with_sleep(requests,
+                                                    SleepModel(0, 0)))
+        for r, lst in zip(requests, got):
+            s = batch.schedules[r.schedule_index]
+            for p, b in zip(r.points, lst):
+                assert b.idle == b.sleep == b.overhead == 0.0
+                assert b.n_shutdowns == _n_gaps(s, p, r.deadline_seconds)
+
+    @given(batches())
+    @settings(max_examples=20, deadline=None)
+    def test_unpayable_overhead_equals_no_sleep(self, drawn):
+        """An overhead nothing can repay makes PS a bitwise no-op."""
+        batch, requests = drawn
+        got = batch_energy_sweep(batch, _with_sleep(
+            requests, SleepModel(overhead_energy=1e300)))
+        want = batch_energy_sweep(batch, requests)
+        for g_list, w_list in zip(got, want):
+            assert_bitwise_equal(g_list, w_list)
+
+
+class TestScalarFallback:
+    @given(batches())
+    @settings(max_examples=10, deadline=None)
+    def test_fallback_equals_native(self, drawn):
+        """Without the C kernel the scalar loop answers identically."""
+        batch, requests = drawn
+        requests = [SweepRequest(r.schedule_index, r.points,
+                                 r.deadline_seconds,
+                                 sleep=[None, PLATFORM.sleep][i % 2])
+                    for i, r in enumerate(requests)]
+        native = batch_energy_sweep(batch, requests)
+        saved = batch_mod.CKERNEL_ACTIVE
+        batch_mod.CKERNEL_ACTIVE = False
+        try:
+            fallback = batch_energy_sweep(batch, requests)
+        finally:
+            batch_mod.CKERNEL_ACTIVE = saved
+        for g_list, w_list in zip(native, fallback):
+            assert_bitwise_equal(g_list, w_list)

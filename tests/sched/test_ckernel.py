@@ -286,7 +286,96 @@ class TestLevelsMatchReference:
 
     def test_self_test_covers_every_routine(self):
         assert ckernel._self_test(ckernel._kernel, ckernel._plan,
-                                  ckernel._levels)
+                                  ckernel._levels, ckernel._sweep)
+
+
+# ----------------------------------------------------------------------
+# The native ladder sweep: its pairwise sum and its compile flags
+# ----------------------------------------------------------------------
+
+def _native_row_sum(values):
+    """A vector's sum as the native sweep folds a gap row.
+
+    One slot whose internal gaps are ``values``, at frequency 1 and
+    idle power 1, with the horizon at its last finish (no trailing gap).
+    """
+    out, shut, bad = ckernel.sweep_c(
+        np.array([[0, 1, 0]], dtype=np.intp),   # member 0, 1 point
+        np.zeros((1, 3)),                       # window 0: horizon 0
+        np.array([[1.0, 0.0, 1.0]]),            # f, energy/cycle, idle
+        np.array([0, 1], dtype=np.intp), np.zeros(1),
+        np.zeros(1), np.zeros(1),               # busy, last finish
+        np.array([0, values.size], dtype=np.intp),
+        np.ascontiguousarray(values, dtype=np.float64))
+    assert bad is None and shut[0] == 0
+    return out[0, 1]
+
+
+@needs_ckernel
+class TestNativeSweep:
+    def test_pairwise_port_matches_np_sum(self):
+        rng = np.random.default_rng(19)
+        lengths = rng.integers(0, 700, 300).tolist() + \
+            [8191, 8192, 8193, 16_385, 100_003]
+        for n in lengths:
+            v = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 7, n)
+            assert _native_row_sum(v) == float(np.sum(v)), n
+            masked = v[rng.random(n) < 0.5]  # the stay/shut compaction
+            assert _native_row_sum(masked) == float(np.sum(masked)), n
+
+    def test_first_bad_lane_is_reported(self):
+        """The makespan guard first, then the slots in order."""
+        member_offsets = np.array([0, 2], dtype=np.intp)
+        no_gaps = (np.array([0, 0, 0], dtype=np.intp), np.empty(0))
+        req = np.array([[0, 2, 0]], dtype=np.intp)
+        pts = np.array([[1.0, 1.0, 1.0], [0.5, 1.0, 1.0]])
+        # Lane 1's horizon (3 cycles) is shorter than the makespan.
+        assert ckernel.sweep_c(
+            req, np.array([[6.0, 0.0, 0.0]]), pts, member_offsets,
+            np.array([5.0]), np.ones(2), np.array([5.0, 4.0]),
+            *no_gaps)[2] == (1, -1)
+        # The makespan passes within its tolerance; slot 1 does not.
+        assert ckernel.sweep_c(
+            np.array([[0, 1, 0]], dtype=np.intp),
+            np.array([[5.0, 0.0, 0.0]]), pts[:1].copy(), member_offsets,
+            np.array([5.0]), np.ones(2), np.array([4.0, 5.0 + 1e-8]),
+            *no_gaps)[2] == (0, 1)
+
+
+    def test_inconsistent_tables_are_rejected(self):
+        """Shapes and member indices are checked before any pointer
+        reaches C."""
+        ok = dict(req=np.array([[0, 1, 0]]), reqf=np.zeros((1, 3)),
+                  pts=np.ones((1, 3)), member_offsets=np.array([0, 1]),
+                  makespans=np.zeros(1), busy=np.zeros(1), last=np.zeros(1),
+                  gap_offsets=np.array([0, 2]), gaps=np.ones(2))
+        assert ckernel.sweep_c(**ok)[2] is None
+        for key, bad in (("pts", np.ones((2, 3))),
+                         ("req", np.array([[1, 1, 0]])),
+                         ("req", np.array([0, 1, 0])),
+                         ("gap_offsets", np.array([0, 3])),
+                         ("member_offsets", np.array([0, 1, 1]))):
+            with pytest.raises(ValueError, match="inconsistent"):
+                ckernel.sweep_c(**dict(ok, **{key: bad}))
+
+
+class TestCompileFlags:
+    def test_no_contraction_no_fast_math(self):
+        """FMA contraction or reassociation would change last bits."""
+        assert "-ffp-contract=off" in ckernel._CFLAGS
+        for flag in ckernel._CFLAGS:
+            assert flag != "-Ofast"
+            assert not flag.startswith("-ffast-math")
+            assert not flag.startswith("-funsafe-math")
+            assert not flag.startswith("-fassociative-math")
+
+    def test_cache_tag_covers_the_flags(self, monkeypatch):
+        """A flag change must not reuse an object built without it."""
+        monkeypatch.setattr(ckernel.os.path, "exists", lambda _: True)
+        before = ckernel._compile_cached()
+        monkeypatch.setattr(ckernel, "_CFLAGS",
+                            ckernel._CFLAGS + ("-DREPRO_TAG_PROBE",))
+        assert ckernel._compile_cached() != before
 
 
 # ----------------------------------------------------------------------
