@@ -6,7 +6,9 @@ Three layers, all side-effect-free on the results they inspect:
   re-checked with :func:`repro.sched.validate.validate_schedule`
   (placement/precedence/overlap invariants), and every schedule the
   plan cache serves by width aliasing is compared bytewise with a
-  fresh build of the requested count (:func:`audit_alias`).
+  fresh build of the requested count (:func:`audit_alias`), and every
+  required-frequency ratio the C kernel supplies with a build is
+  compared bitwise with the numpy reference (:func:`audit_ratio`).
 * **Deadlines** — the finally chosen schedule meets every per-task
   deadline *at the chosen operating point* (not merely at full speed).
 * **Energy conservation** — the reported :class:`EnergyBreakdown` has
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+import numpy as np
+
 from ..power.dvs import OperatingPoint
 from ..power.shutdown import SleepModel
 from ..sched.schedule import Schedule
@@ -42,6 +46,7 @@ __all__ = [
     "reference_energy",
     "audit_intermediate_schedule",
     "audit_alias",
+    "audit_ratio",
     "audit_energy",
     "audit_sweep",
     "audit_result",
@@ -124,6 +129,23 @@ def audit_alias(served: Schedule, fresh: Schedule, log: AuditLog,
                  f"served schedule (built on {served.n_processors} "
                  f"processors) differs from a fresh build on "
                  f"{fresh.n_processors} in {', '.join(diffs)}")
+    else:
+        log.passed()
+
+
+def audit_ratio(schedule: Schedule, deadlines: np.ndarray, ratio: float,
+                log: AuditLog, context: str) -> None:
+    """A kernel-supplied required-frequency ratio equals the reference.
+
+    ``ratio`` is what the fused C call computed for ``schedule`` against
+    ``deadlines``; it must have the bits of
+    :meth:`Schedule.required_reference_frequency` on the same vector.
+    """
+    want = schedule.required_reference_frequency(deadlines)
+    if ratio.hex() != want.hex():
+        log.fail("ratio", context,
+                 f"kernel ratio {ratio!r} is not bitwise-equal to "
+                 f"required_reference_frequency {want!r}")
     else:
         log.passed()
 

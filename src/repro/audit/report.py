@@ -42,7 +42,8 @@ class AuditViolation:
 
     Attributes:
         kind: the invariant family — ``"structure"``, ``"aliasing"``,
-            ``"deadline"``, ``"energy"`` or ``"dominance"``.
+            ``"ratio"``, ``"deadline"``, ``"energy"`` or
+            ``"dominance"``.
         context: where it happened, e.g. ``"robot[n=4]"`` or
             ``"robot/LAMPS+PS"``.
         message: the specific violated condition.

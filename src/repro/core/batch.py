@@ -24,14 +24,17 @@ numpy's pairwise summation.  Without the C kernel
 (``REPRO_NO_CKERNEL``, or no compiler) the scalar loop itself runs.
 Requests whose sleep model is a :class:`~repro.power.shutdown.SleepModel`
 subclass also take the scalar loop, since the native routine
-hard-codes the base class's shutdown rule.
+hard-codes the base class's shutdown rule.  A native request's row is
+a :class:`SweepRows`: it builds each breakdown on first access, and a
+search's selection reads only its totals until it picks a winner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union, \
+    overload
 
 import numpy as np
 
@@ -42,7 +45,8 @@ from ..sched.schedule import Schedule
 from .energy import EnergyBreakdown, _horizon_error, _makespan_error, \
     _reference_sweep
 
-__all__ = ["ScheduleBatch", "SweepRequest", "batch_energy_sweep"]
+__all__ = ["ScheduleBatch", "SweepRequest", "SweepRows",
+           "batch_energy_sweep"]
 
 
 @dataclass(frozen=True)
@@ -169,6 +173,87 @@ class ScheduleBatch:
                 f"gaps={self.gap_flat.size})")
 
 
+class _Lanes:
+    """The output of one native sweep call, shared by its requests' rows.
+
+    ``totals`` holds every lane's :attr:`EnergyBreakdown.total`, with
+    that property's additions in its order (numpy float64 addition is
+    the same IEEE-754 operation as Python's); breakdowns are built on
+    first access and kept.
+    """
+
+    __slots__ = ("out", "shut", "totals", "built")
+
+    def __init__(self, out: np.ndarray, shut: np.ndarray) -> None:
+        self.out = out
+        self.shut = shut
+        self.totals: List[float] = (
+            ((out[:, 0] + out[:, 1]) + out[:, 2]) + out[:, 3]).tolist()
+        self.built: List[Optional[EnergyBreakdown]] = [None] * len(shut)
+
+    def get(self, lane: int) -> EnergyBreakdown:
+        e = self.built[lane]
+        if e is None:
+            busy, idle, sleep, overhead = self.out[lane].tolist()
+            e = self.built[lane] = EnergyBreakdown(
+                busy, idle, sleep, overhead, int(self.shut[lane]))
+        return e
+
+
+class SweepRows(Sequence[EnergyBreakdown]):
+    """One request's breakdowns from the native sweep, built on access.
+
+    A read-only sequence equal (``==``) to the list the scalar loop
+    returns.  A search reads every lane's total but builds only the
+    breakdowns it keeps, so each :class:`EnergyBreakdown` is made on
+    first access; :attr:`totals` reads the totals without building any.
+    """
+
+    __slots__ = ("_lanes", "_lo", "_hi")
+
+    def __init__(self, lanes: _Lanes, lo: int, hi: int) -> None:
+        self._lanes = lanes
+        self._lo = lo
+        self._hi = hi
+
+    @property
+    def totals(self) -> List[float]:
+        """``[e.total for e in self]``, without building a breakdown."""
+        return self._lanes.totals[self._lo:self._hi]
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    @overload
+    def __getitem__(self, i: int) -> EnergyBreakdown: ...
+
+    @overload
+    def __getitem__(self, i: slice) -> List[EnergyBreakdown]: ...
+
+    def __getitem__(self, i: Union[int, slice]
+                    ) -> Union[EnergyBreakdown, List[EnergyBreakdown]]:
+        if isinstance(i, slice):
+            return [self._lanes.get(self._lo + j)
+                    for j in range(*i.indices(len(self)))]
+        j = i + len(self) if i < 0 else i
+        if not 0 <= j < len(self):
+            raise IndexError("sweep row index out of range")
+        return self._lanes.get(self._lo + j)
+
+    def __iter__(self) -> Iterator[EnergyBreakdown]:
+        return map(self._lanes.get, range(self._lo, self._hi))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, SweepRows)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 def _is_native(sleep: Optional[SleepModel]) -> bool:
     """Whether the native shutdown rule is ``sleep``'s own rule."""
     return sleep is None or type(sleep) is SleepModel
@@ -177,10 +262,11 @@ def _is_native(sleep: Optional[SleepModel]) -> bool:
 def batch_energy_sweep(
         batch: ScheduleBatch,
         requests: Sequence[SweepRequest],
-) -> List[List[EnergyBreakdown]]:
+) -> List[Sequence[EnergyBreakdown]]:
     """Evaluate many ladder sweeps against a batch in one native call.
 
-    Returns one list per request, bitwise equal to
+    Returns one sequence per request (a :class:`SweepRows` on the
+    native path, a list otherwise), bitwise equal to
     ``[schedule_energy(batch.schedules[r.schedule_index], p,
     r.deadline_seconds, sleep=r.sleep) for p in r.points]`` — including
     the exception that scalar loop would raise, with the same message,
@@ -224,13 +310,13 @@ def batch_energy_sweep(
         batch.proc_last, batch.gap_offsets, batch.gap_flat)
     if bad is not None:
         _raise_bad_lane(batch, requests, *bad)
-    lanes = list(map(EnergyBreakdown, *out.T.tolist(), shut.tolist()))
-    results: List[List[EnergyBreakdown]] = []
+    lanes = _Lanes(out, shut)
+    results: List[Sequence[EnergyBreakdown]] = []
     lane = 0
     for r in requests:
         end = lane + len(r.points)
-        results.append(lanes[lane:end] if _is_native(r.sleep) else
-                       _reference_sweep(batch.schedules, [r])[0])
+        results.append(SweepRows(lanes, lane, end) if _is_native(r.sleep)
+                       else _reference_sweep(batch.schedules, [r])[0])
         lane = end
     return results
 

@@ -174,7 +174,7 @@ def _reference_sweep(schedules: Sequence[Schedule],
 def schedule_energy_sweep(
         schedule: Schedule, points: Sequence[OperatingPoint],
         deadline_seconds: float, *,
-        sleep: Optional[SleepModel] = None) -> List[EnergyBreakdown]:
+        sleep: Optional[SleepModel] = None) -> Sequence[EnergyBreakdown]:
     """Energy of ``schedule`` at every operating point, in one pass.
 
     A one-schedule :func:`repro.core.batch.batch_energy_sweep`.  One
@@ -183,10 +183,10 @@ def schedule_energy_sweep(
     evaluate them with one :func:`repro.core.plans.sweep_energies`
     call instead.
 
-    Returns ``[schedule_energy(schedule, p, deadline_seconds,
-    sleep=sleep) for p in points]``, bitwise, including the exceptions
-    the scalar loop would raise (same type, same message, at the same
-    first offending point).
+    Returns a sequence equal to ``[schedule_energy(schedule, p,
+    deadline_seconds, sleep=sleep) for p in points]``, bitwise,
+    including the exceptions the scalar loop would raise (same type,
+    same message, at the same first offending point).
 
     Args:
         schedule: cycle-level schedule (weights are cycles).

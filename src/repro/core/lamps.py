@@ -43,6 +43,7 @@ from ..power.shutdown import SleepModel
 from ..sched.list_scheduler import list_schedule
 from ..sched.priorities import PriorityPolicy
 from ..sched.schedule import Schedule
+from .batch import SweepRows
 from .energy import EnergyBreakdown
 from .plans import PlanCache, PlannedSweep, sweep_energies
 from .platform import Platform, default_platform
@@ -170,17 +171,19 @@ def _candidate_points(
     return points
 
 
-def _select_best(
-        breakdowns: Sequence[EnergyBreakdown],
-        points: Sequence[OperatingPoint],
-) -> Tuple[EnergyBreakdown, OperatingPoint]:
-    """The least-energy (energy, point) pair; ties keep the first.
+def _best_point(breakdowns: Sequence[EnergyBreakdown]) -> Tuple[int, float]:
+    """Index and total of the least-energy breakdown; ties keep the first.
 
     The tie-break is load-bearing for byte identity: ``min`` keeps the
-    earliest minimal candidate, exactly like the historical per-point
-    loop, so every path picks the same point.
+    earliest minimal total and ``index`` finds that same position, so
+    every path picks the same point as the historical per-point loop.
+    Rows of the native sweep (:class:`~repro.core.batch.SweepRows`)
+    supply their totals without building a breakdown.
     """
-    return min(zip(breakdowns, points), key=lambda c: c[0].total)
+    totals = (breakdowns.totals if isinstance(breakdowns, SweepRows)
+              else [e.total for e in breakdowns])
+    best = min(totals)
+    return totals.index(best), best
 
 
 def _best_candidate(
@@ -197,22 +200,23 @@ def _best_candidate(
     energy increase.  ``spread`` is the fully spread +PS candidate
     (Fig. 8's ``N_max``, the S&S+PS schedule): long gaps sleep cheaply,
     so it can beat every packed count, but it only displaces a strictly
-    worse winner — also after a greedy stop.
+    worse winner — also after a greedy stop.  The selection compares
+    totals; only the winner's breakdown is read.
     """
-    best: Optional[Tuple[EnergyBreakdown, OperatingPoint, int]] = None
+    best: Optional[Tuple[float, int, int]] = None  # (total, sweep, point)
     for i in order:
-        energy, point = _select_best(energies[i], sweeps[i].points)
-        if best is None or energy.total < best[0].total:
-            best = (energy, point, i)
-        elif greedy and energy.total > best[0].total:
+        j, total = _best_point(energies[i])
+        if best is None or total < best[0]:
+            best = (total, i, j)
+        elif greedy and total > best[0]:
             break
     if spread is not None:
-        energy, point = _select_best(energies[spread],
-                                     sweeps[spread].points)
-        if best is None or energy.total < best[0].total:
-            best = (energy, point, spread)
+        j, total = _best_point(energies[spread])
+        if best is None or total < best[0]:
+            best = (total, spread, j)
     assert best is not None  # the walk always yields a feasible count
-    return best
+    _, i, j = best
+    return energies[i][j], sweeps[i].points[j], i
 
 
 def lamps_search(
@@ -404,7 +408,8 @@ def energy_vs_processors(
         if i is None:
             out.append((n, None))
             continue
-        energy, point = _select_best(energies[i], sweeps[i].points)
+        j, _ = _best_point(energies[i])
+        energy, point = energies[i][j], sweeps[i].points[j]
         out.append((n, energy))
         if log is not None:
             audit_energy(sweeps[i].schedule, energy, point,

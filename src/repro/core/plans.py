@@ -39,7 +39,10 @@ Why plan reuse is exact (DESIGN.md §12 carries the full argument):
   per-count caching only).
 * Deadline vectors, top levels and required-frequency ratios are pure
   functions of their (pinned, frozen) inputs — memoization returns the
-  identical float/array contents.
+  identical float/array contents.  A canonical build on the C kernel
+  brings its own ratio against the deadline vector it was built with;
+  the kernel repeats ``required_reference_frequency``'s divisions and
+  takes an exact maximum, so the recorded float is the same one.
 
 Strict/audit runs share the production cache, aliasing included.  A
 fresh build is validated structurally and counted as built; a
@@ -47,7 +50,9 @@ width-alias serve is verified instead: the requested count is built
 once more and compared bytewise with the served schedule
 (:func:`~repro.audit.invariants.audit_alias`).  That verification build
 is neither cached nor counted, so hits, misses and the obs counters are
-those of an unaudited run.
+those of an unaudited run.  Every ratio a build brings along is compared
+bitwise with ``required_reference_frequency``
+(:func:`~repro.audit.invariants.audit_ratio`), one passed check each.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, \
 
 import numpy as np
 
-from ..audit.invariants import audit_alias, audit_intermediate_schedule
+from ..audit.invariants import audit_alias, audit_intermediate_schedule, \
+    audit_ratio
 from ..audit.report import AuditLog
 from ..graphs.analysis import top_levels as _graph_top_levels
 from ..graphs.dag import TaskGraph
@@ -95,7 +101,7 @@ class PlannedSweep:
 
 def sweep_energies(sweeps: Sequence[PlannedSweep],
                    deadline_seconds: Union[float, Sequence[float]]
-                   ) -> List[List[EnergyBreakdown]]:
+                   ) -> List[Sequence[EnergyBreakdown]]:
     """Evaluate planned ladder sweeps in one batched sweep.
 
     Stacks the distinct schedules of ``sweeps`` into one
@@ -217,7 +223,10 @@ class PlanCache:
 
         Keyed by object identity of both arguments (which the cache
         pins); a pure function of frozen inputs, so the cached float is
-        the identical value.
+        the identical value.  A schedule :meth:`schedule` built on the C
+        kernel arrives with its ratio against the deadline vector it was
+        built with (bitwise equal to the numpy reference, which strict
+        runs check), so the first lookup of that pair is a hit too.
         """
         key = (id(schedule), id(deadlines))
         ent = self._ratios.get(key)
@@ -302,6 +311,14 @@ class PlanCache:
             log.schedules_built += 1
             audit_intermediate_schedule(
                 s, log, label or f"{graph.name or 'graph'}[n={n}]")
+        ratio = s._build_ratio
+        if canonical and deadlines is not None and ratio is not None:
+            # The fused C call computed the ratio against ``deadlines``
+            # with the build, so ratio() needs no numpy pass for it.
+            if log is not None:
+                audit_ratio(s, deadlines, ratio, log,
+                            label or f"{graph.name or 'graph'}[n={n}]")
+            self._ratios[(id(s), id(deadlines))] = (s, deadlines, ratio)
         self._exact[key] = s
         if canonical and s.employed_processors < n and \
                 (gid, fp) not in self._stall_free:

@@ -172,7 +172,7 @@ def _plan_suite(
 
 def _finish_suite(
     plan: _SuitePlan,
-    energies: Sequence[List[EnergyBreakdown]],
+    energies: Sequence[Sequence[EnergyBreakdown]],
     o: Union[ObsLog, NullObs],
 ) -> Dict[Heuristic, ScheduleResult]:
     """Turn a plan's sweep energies into the six suite results.
@@ -250,7 +250,7 @@ def _annotate_instance_failure(exc: BaseException, index: int,
 
 
 def _audit_rows(plan: _SuitePlan,
-                energies: Sequence[List[EnergyBreakdown]]) -> None:
+                energies: Sequence[Sequence[EnergyBreakdown]]) -> None:
     """Strict row check of one instance's slice of the sweep."""
     assert plan.log is not None
     for ps, row in zip(plan.sweeps, energies):
@@ -315,7 +315,7 @@ def paper_suite_batch(
 
         with o.span("suite.sweep", category="suite", instances=len(plans)):
             try:
-                energies: Optional[List[List[EnergyBreakdown]]] = \
+                energies: Optional[List[Sequence[EnergyBreakdown]]] = \
                     sweep_energies(
                         [ps for p in plans for ps in p.sweeps],
                         [p.deadline_seconds for p in plans

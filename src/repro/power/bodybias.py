@@ -116,5 +116,4 @@ class ABBLadder(DVSLadder):
         if not points:
             raise ValueError("no operating point has a positive frequency")
         points.sort(key=lambda p: p.frequency)
-        self._points = tuple(points)
-        self._frequencies = np.array([p.frequency for p in self._points])
+        self._set_points(points)

@@ -9,6 +9,7 @@ starts to increase again (Section 3.3; Fig. 2b).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -93,9 +94,27 @@ class DVSLadder(Sequence[OperatingPoint]):
         voltages = voltages[self.model.frequency(voltages) > 0.0]
         if voltages.size == 0:
             raise ValueError("no operating point has a positive frequency")
-        points = [_make_point(self.model, v) for v in np.sort(voltages)]
+        self._set_points(
+            [_make_point(self.model, v) for v in np.sort(voltages)])
+
+    def _set_points(self, points: Sequence[OperatingPoint]) -> None:
+        """Adopt ``points`` (ascending frequency) and index them."""
         self._points: tuple[OperatingPoint, ...] = tuple(points)
-        self._frequencies = np.array([p.frequency for p in self._points])
+        # A tuple of Python floats: bisect on it costs a fraction of an
+        # np.searchsorted call on a ladder this short.
+        self._frequencies = tuple(p.frequency for p in self._points)
+        self._critical = min(self._points, key=lambda p: p.energy_per_cycle)
+
+    def _first_at_least(self, f_required: float) -> int:
+        """Index of the first point with ``frequency >= f_required``.
+
+        ``np.searchsorted(..., side="left")`` semantics, NaN included:
+        it sorts NaN after every frequency, so a NaN requirement finds
+        no point.
+        """
+        if f_required != f_required:
+            return len(self._points)
+        return bisect_left(self._frequencies, f_required)
 
     # -- Sequence protocol -------------------------------------------------
     def __len__(self) -> int:
@@ -138,7 +157,7 @@ class DVSLadder(Sequence[OperatingPoint]):
         Raises:
             ValueError: if even the fastest point is too slow.
         """
-        idx = int(np.searchsorted(self._frequencies, f_required, side="left"))
+        idx = self._first_at_least(f_required)
         if idx >= len(self._points):
             raise ValueError(
                 f"required frequency {f_required/1e9:.3f} GHz exceeds "
@@ -147,16 +166,16 @@ class DVSLadder(Sequence[OperatingPoint]):
 
     def at_or_above(self, f_required: float) -> tuple[OperatingPoint, ...]:
         """All feasible points (``frequency >= f_required``), ascending."""
-        idx = int(np.searchsorted(self._frequencies, f_required, side="left"))
-        return self._points[idx:]
+        return self._points[self._first_at_least(f_required):]
 
     def critical_point(self) -> OperatingPoint:
         """The discrete point minimising energy per cycle (Fig. 2b).
 
         For the 70 nm ladder with 0.05 V steps this is ``vdd = 0.7 V``,
         i.e. a normalized frequency of 0.41 as the paper reports.
+        Computed once, when the ladder is built.
         """
-        return min(self._points, key=lambda p: p.energy_per_cycle)
+        return self._critical
 
     def best_point(self, f_required: float) -> OperatingPoint:
         """Most energy-efficient feasible point for a frequency floor.

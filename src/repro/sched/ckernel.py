@@ -4,15 +4,17 @@ The C source below has four routines, compiled on first use with the
 system C compiler and loaded through :mod:`ctypes`:
 
 * ``repro_list_schedule`` — the event loop of
-  :func:`repro.sched.eventloop.heapq_schedule` over flat arrays (three
-  array-backed binary min-heaps and a CSR successor walk), behind
-  :func:`schedule_kernel_c`;
+  :func:`repro.sched.eventloop.heapq_schedule` over flat arrays (ready
+  and event heaps of ``{key, task}`` structs, a free-processor bitset
+  and a CSR successor walk, in one scratch allocation per call),
+  behind :func:`schedule_kernel_c`;
 * ``repro_plan_schedule`` — the fused call per list schedule behind
   :func:`plan_schedule_c`: the same event loop, then everything
   :meth:`Schedule._init_arrays <repro.sched.schedule.Schedule>`
   derives (per-processor order and bounds, busy cycles, last finish,
   employed ids, internal gaps, makespan), ready for the private
-  constructor ``Schedule._adopt``;
+  constructor ``Schedule._adopt``, and the schedule's required-frequency
+  ratio against the deadline vector ``list_schedule`` received;
 * ``repro_levels`` — ALAP deadlines and top levels in one pass each
   over the successor CSR in topological order, behind
   :func:`levels_c`;
@@ -28,16 +30,21 @@ degrades silently to the Python references: the ``heapq`` loop with
 and the scalar :func:`repro.core.energy.schedule_energy` loop.
 
 Determinism: every heap holds strictly totally ordered entries, so the
-pop sequence of any correct min-heap is unique; the C heaps compare
-``(a, b, c)`` lexicographically on exact float64 values, and the event
-loop's only floating-point arithmetic is the same ``finish = time +
-w[v]`` IEEE-754 double addition.  The derive repeats
-``_init_arrays``'s subtractions and its sequential prefix sum in the
-same order, and the levels take exact minima and maxima.  The sweep
-repeats ``schedule_energy``'s operations lane by lane, with a port of
-numpy's pairwise summation for the gap sums, and the compile flags
-(:data:`_CFLAGS`) forbid contracting a multiply and an add into one
-FMA.  Every result is therefore *identical* to the reference's
+pop sequence of any correct min-heap is unique.  The C heaps compare
+``(key, task)`` on exact float64 keys — a task sits in each heap at
+most once, and NaN keys are rejected by
+:func:`~repro.sched.priorities.priority_keys` — and the free processors
+are a bitset popped at its lowest set bit, the lowest free id, which is
+what the reference's min-heap of ids pops.  The event loop's only
+floating-point arithmetic is the same ``finish = time + w[v]``
+IEEE-754 double addition.  The derive repeats ``_init_arrays``'s
+subtractions and its sequential prefix sum in the same order, the
+ratio repeats ``required_reference_frequency``'s divisions and takes
+an exact maximum, and the levels take exact minima and maxima.  The
+sweep repeats ``schedule_energy``'s operations lane by lane, with a
+port of numpy's pairwise summation for the gap sums, and the compile
+flags (:data:`_CFLAGS`) forbid contracting a multiply and an add into
+one FMA.  Every result is therefore *identical* to the reference's
 (asserted by an import-time self-test here and by the differential
 suites in ``tests/sched/test_ckernel.py`` and
 ``tests/core/test_batch_sweep.py``), so the gate selects between
@@ -80,132 +87,162 @@ __all__ = ["CKERNEL_ACTIVE", "levels_c", "plan_schedule_c",
 _DISABLED = bool(os.environ.get("REPRO_NO_CKERNEL"))  # repro: noqa[DET003]
 
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
 typedef int64_t i64;
+typedef uint64_t u64;
 
-/* Lexicographic (a, b, c) < (a, b, c) — tuple order, unrolled.  Exact
- * float64 comparisons; entries are strictly totally ordered (tasks and
- * processor ids are unique), so heap pop order is deterministic. */
-static int less3(double a1, i64 b1, i64 c1, double a2, i64 b2, i64 c2) {
-    if (a1 != a2) return a1 < a2;
-    if (b1 != b2) return b1 < b2;
-    return c1 < c2;
+/* One heap entry: (priority key, task) in the ready heap, (finish,
+ * task) in the event heap, whose task runs on procs[task].  A task is
+ * in each heap at most once, so ids are unique within a heap and (key,
+ * id) is a strict total order on exact float64 keys (NaN keys are
+ * rejected upstream): any correct min-heap pops the same sequence as
+ * heapq_schedule's tuple heaps. */
+typedef struct {
+    double key;
+    i64 id;
+} entry;
+
+/* a before b in (key, id) order.  Bitwise & and | evaluate both sides,
+ * so the comparison compiles without branches. */
+static int before(const entry *a, const entry *b) {
+    return (a->key < b->key) | ((a->key == b->key) & (a->id < b->id));
 }
 
-static void push3(double *ha, i64 *hb, i64 *hc, i64 *size,
-                  double a, i64 b, i64 c) {
+/* Sift a hole up from the new leaf, then drop the entry into it. */
+static void push(entry *h, i64 *size, double key, i64 id) {
     i64 i = (*size)++;
-    ha[i] = a; hb[i] = b; hc[i] = c;
+    entry e;
+    e.key = key;
+    e.id = id;
     while (i > 0) {
         i64 parent = (i - 1) >> 1;
-        if (less3(ha[i], hb[i], hc[i], ha[parent], hb[parent], hc[parent])) {
-            double ta = ha[i]; ha[i] = ha[parent]; ha[parent] = ta;
-            i64 tb = hb[i]; hb[i] = hb[parent]; hb[parent] = tb;
-            i64 tc = hc[i]; hc[i] = hc[parent]; hc[parent] = tc;
-            i = parent;
-        } else {
+        if (!before(&e, &h[parent]))
             break;
-        }
+        h[i] = h[parent];
+        i = parent;
     }
+    h[i] = e;
 }
 
-static void pop3(double *ha, i64 *hb, i64 *hc, i64 *size,
-                 double *a, i64 *b, i64 *c) {
-    *a = ha[0]; *b = hb[0]; *c = hc[0];
-    i64 n = --(*size);
-    ha[0] = ha[n]; hb[0] = hb[n]; hc[0] = hc[n];
-    i64 i = 0;
-    for (;;) {
-        i64 left = 2 * i + 1;
-        if (left >= n) break;
-        i64 smallest = left;
-        i64 right = left + 1;
-        if (right < n && less3(ha[right], hb[right], hc[right],
-                               ha[left], hb[left], hc[left]))
-            smallest = right;
-        if (less3(ha[smallest], hb[smallest], hc[smallest],
-                  ha[i], hb[i], hc[i])) {
-            double ta = ha[i]; ha[i] = ha[smallest]; ha[smallest] = ta;
-            i64 tb = hb[i]; hb[i] = hb[smallest]; hb[smallest] = tb;
-            i64 tc = hc[i]; hc[i] = hc[smallest]; hc[smallest] = tc;
-            i = smallest;
-        } else {
-            break;
-        }
+/* Take the root.  Floyd's method: the hole walks down the smaller
+ * children to a leaf (a branch-free choice while both exist), then the
+ * last entry sifts up from there. */
+static entry pop(entry *h, i64 *size) {
+    entry top = h[0], last = h[--*size];
+    i64 n = *size, i = 0, child = 1;
+    while (child + 1 < n) {
+        child += before(&h[child + 1], &h[child]);
+        h[i] = h[child];
+        i = child;
+        child = 2 * i + 1;
     }
+    if (child < n) {
+        h[i] = h[child];
+        i = child;
+    }
+    while (i > 0) {
+        i64 parent = (i - 1) >> 1;
+        if (!before(&last, &h[parent]))
+            break;
+        h[i] = h[parent];
+        i = parent;
+    }
+    h[i] = last;
+    return top;
 }
 
-/* The event loop of repro.sched.eventloop.heapq_schedule over array
- * heaps.  When seq is not NULL it receives the tasks in dispatch order. */
-static int event_loop(i64 n, i64 n_processors,
-                      const double *keys, const double *w,
-                      const i64 *succ_flat, const i64 *succ_offsets,
-                      const i64 *in_degrees,
-                      double *starts, double *finishes, i64 *procs,
-                      i64 *seq) {
-    i64 heap_doubles = 2 * n + n_processors;
-    i64 heap_ints = 2 * (2 * n + n_processors) + n;
-    double *da = (double *)malloc((size_t)heap_doubles * sizeof(double));
-    i64 *ia = (i64 *)malloc((size_t)heap_ints * sizeof(i64));
-    if (da == NULL || ia == NULL) {
-        free(da); free(ia);
-        return -1;
-    }
-    double *r_a = da, *q_a = da + n, *f_a = da + 2 * n;
-    i64 *r_b = ia, *r_c = ia + n;
-    i64 *q_b = ia + 2 * n, *q_c = ia + 3 * n;
-    i64 *f_b = ia + 4 * n, *f_c = f_b + n_processors;
-    i64 *n_pending = f_c + n_processors;
-    i64 r_n = 0, q_n = 0, f_n = n_processors;
+/* Index of the lowest set bit of x != 0: x & -x isolates it, and the
+ * de Bruijn multiply maps each of the 64 powers of two to a distinct
+ * top-6-bit pattern.  Portable C99, no compiler builtin. */
+static const unsigned char debruijn_index[64] = {
+     0,  1, 48,  2, 57, 49, 28,  3, 61, 58, 50, 42, 38, 29, 17,  4,
+    62, 55, 59, 36, 53, 51, 43, 22, 45, 39, 33, 30, 24, 18, 12,  5,
+    63, 47, 56, 27, 60, 41, 37, 16, 54, 35, 52, 21, 44, 32, 23, 11,
+    46, 26, 40, 15, 34, 20, 31, 10, 25, 14, 19,  9, 13,  8,  7,  6
+};
+
+static i64 lowest_bit(u64 x) {
+    return debruijn_index[((x & -x) * (u64)0x03f79d71b4cb0a89) >> 58];
+}
+
+/* Bytes of scratch one event loop needs: the ready and event heaps (n
+ * entries each), the free-processor bitset and the pending counts. */
+static size_t loop_bytes(i64 n, i64 n_processors) {
+    return (size_t)(2 * n) * sizeof(entry)
+        + (size_t)((n_processors + 63) / 64) * sizeof(u64)
+        + (size_t)n * sizeof(i64);
+}
+
+/* The event loop of repro.sched.eventloop.heapq_schedule.  The free
+ * processors are a bitset popped at its lowest set bit: the lowest free
+ * id, exactly what the reference's min-heap of ids pops.  lo is the
+ * lowest word that may hold a set bit.  When seq is not NULL it
+ * receives the tasks in dispatch order. */
+static void event_loop(i64 n, i64 n_processors,
+                       const double *keys, const double *w,
+                       const i64 *succ_flat, const i64 *succ_offsets,
+                       const i64 *in_degrees,
+                       double *starts, double *finishes, i64 *procs,
+                       void *scratch, i64 *seq) {
+    entry *ready = (entry *)scratch, *running = ready + n;
+    u64 *free_bits = (u64 *)(running + n);
+    i64 n_words = (n_processors + 63) / 64;
+    i64 *n_pending = (i64 *)(free_bits + n_words);
+    i64 r_n = 0, q_n = 0, n_free = n_processors, lo = 0;
     i64 v, p, scheduled = 0;
-    double time = 0.0, finish, pa, ignored;
+    double time = 0.0;
+    entry e;
 
-    for (p = 0; p < n_processors; p++) {
-        f_a[p] = (double)p;  /* ascending order is already a min-heap */
-        f_b[p] = 0; f_c[p] = 0;
-    }
+    for (v = 0; v < n_words; v++)
+        free_bits[v] = ~(u64)0;
+    if (n_processors % 64)
+        free_bits[n_words - 1] = ((u64)1 << (n_processors % 64)) - 1;
     for (v = 0; v < n; v++) {
         n_pending[v] = in_degrees[v];
         if (n_pending[v] == 0)
-            push3(r_a, r_b, r_c, &r_n, keys[v], v, 0);
+            push(ready, &r_n, keys[v], v);
     }
 
     while (scheduled < n) {
-        while (r_n > 0 && f_n > 0) {
-            pop3(r_a, r_b, r_c, &r_n, &ignored, &v, &p);
-            pop3(f_a, f_b, f_c, &f_n, &pa, &p, &p);
-            p = (i64)pa;
+        while (r_n > 0 && n_free > 0) {
+            v = pop(ready, &r_n).id;
+            while (free_bits[lo] == 0)
+                lo++;
+            p = 64 * lo + lowest_bit(free_bits[lo]);
+            free_bits[lo] &= free_bits[lo] - 1;
+            n_free--;
             starts[v] = time;
-            finish = time + w[v];
-            finishes[v] = finish;
+            finishes[v] = time + w[v];
             procs[v] = p;
-            push3(q_a, q_b, q_c, &q_n, finish, v, p);
+            push(running, &q_n, finishes[v], v);
             if (seq != NULL)
                 seq[scheduled] = v;
             scheduled++;
         }
         if (q_n == 0)
             break;  /* all remaining tasks were sources already dispatched */
-        pop3(q_a, q_b, q_c, &q_n, &time, &v, &p);
+        e = pop(running, &q_n);
+        time = e.key;
         for (;;) {
-            i64 si;
-            push3(f_a, f_b, f_c, &f_n, (double)p, 0, 0);
-            for (si = succ_offsets[v]; si < succ_offsets[v + 1]; si++) {
+            i64 si, word = procs[e.id] >> 6;
+            free_bits[word] |= (u64)1 << (procs[e.id] & 63);
+            if (word < lo)
+                lo = word;
+            n_free++;
+            for (si = succ_offsets[e.id]; si < succ_offsets[e.id + 1]; si++) {
                 i64 s = succ_flat[si];
                 if (--n_pending[s] == 0)
-                    push3(r_a, r_b, r_c, &r_n, keys[s], s, 0);
+                    push(ready, &r_n, keys[s], s);
             }
-            if (!(q_n > 0 && q_a[0] <= time))
+            if (!(q_n > 0 && running[0].key <= time))
                 break;
-            pop3(q_a, q_b, q_c, &q_n, &time, &v, &p);
+            e = pop(running, &q_n);
         }
     }
-    free(da);
-    free(ia);
-    return 0;
 }
 
 int repro_list_schedule(i64 n, i64 n_processors,
@@ -213,8 +250,32 @@ int repro_list_schedule(i64 n, i64 n_processors,
                         const i64 *succ_flat, const i64 *succ_offsets,
                         const i64 *in_degrees,
                         double *starts, double *finishes, i64 *procs) {
-    return event_loop(n, n_processors, keys, w, succ_flat, succ_offsets,
-                      in_degrees, starts, finishes, procs, NULL);
+    void *scratch = malloc(loop_bytes(n, n_processors));
+    if (scratch == NULL)
+        return -1;
+    event_loop(n, n_processors, keys, w, succ_flat, succ_offsets,
+               in_degrees, starts, finishes, procs, scratch, NULL);
+    free(scratch);
+    return 0;
+}
+
+/* Schedule.required_reference_frequency: the max over tasks of
+ * finish / d, where a deadline that is not positive (NaN included)
+ * contributes inf when its finish is positive and 0.0 otherwise.  A NaN
+ * ratio propagates like numpy's max; no tasks give 0.0. */
+static double required_ratio(i64 n, const double *finishes,
+                             const double *d) {
+    double m = 0.0;
+    i64 i;
+    for (i = 0; i < n; i++) {
+        double r = d[i] > 0.0 ? finishes[i] / d[i]
+                              : (finishes[i] > 0.0 ? INFINITY : 0.0);
+        if (r != r)
+            return r;
+        if (i == 0 || r > m)
+            m = r;
+    }
+    return m;
 }
 
 /* Task a sorts after task b on one processor: (start, finish, index). */
@@ -226,33 +287,36 @@ static int later(const double *starts, const double *finishes,
 }
 
 /* The event loop followed by everything Schedule._init_arrays derives,
- * with the same floating-point operations in the same order.
- *   f  = [starts n | finishes n | makespan | busy P | last P
- *         | gap lo, hi, len (3n capacity) | keys n]
+ * with the same floating-point operations in the same order, and the
+ * required-frequency ratio against the deadline vector d (skipped when
+ * d is NULL).
+ *   f  = [starts n | finishes n | makespan | ratio | busy P | last P
+ *         | gap lo, hi, len (3n capacity) | keys n | ...]
  *   ix = [n_gaps, n_employed | procs n | order n | bounds P+1
  *         | gap bounds P+1 | employed ids P]
  * The caller fills the keys; the gaps come back packed as
- * lo[k], hi[k], len[k] from offset 2n+1+2P. */
+ * lo[k], hi[k], len[k] from offset 2n+2+2P. */
 int repro_plan_schedule(i64 n, i64 n_processors, const double *w,
                         const i64 *succ_flat, const i64 *succ_offsets,
-                        const i64 *in_degrees, double *f, i64 *ix) {
+                        const i64 *in_degrees, const double *d,
+                        double *f, i64 *ix) {
     i64 P = n_processors;
     double *starts = f, *finishes = f + n;
-    double *busy = f + 2 * n + 1, *last = busy + P;
+    double *busy = f + 2 * n + 2, *last = busy + P;
     double *gap_lo = last + P, *gap_hi = gap_lo + n, *gap_len = gap_hi + n;
     const double *keys = gap_len + n;
     i64 *procs = ix + 2, *order = procs + n, *bounds = order + n;
     i64 *gap_bounds = bounds + P + 1, *employed = gap_bounds + P + 1;
     i64 i, j, p, k = 0, e = 0;
     double makespan, acc = 0.0;
-    i64 *seq = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
-    if (seq == NULL)
+    size_t loop = loop_bytes(n, P);
+    char *scratch = (char *)malloc(loop + (size_t)n * sizeof(i64));
+    i64 *seq;
+    if (scratch == NULL)
         return -1;
-    if (event_loop(n, P, keys, w, succ_flat, succ_offsets, in_degrees,
-                   starts, finishes, procs, seq) != 0) {
-        free(seq);
-        return -1;
-    }
+    seq = (i64 *)(scratch + loop);
+    event_loop(n, P, keys, w, succ_flat, succ_offsets, in_degrees,
+               starts, finishes, procs, scratch, seq);
 
     /* Per-processor order: a stable counting sort of the dispatch
      * sequence by processor, then an insertion sort by (start, finish,
@@ -270,7 +334,7 @@ int repro_plan_schedule(i64 n, i64 n_processors, const double *w,
         i64 v = seq[i];
         order[gap_bounds[procs[v]]++] = v;
     }
-    free(seq);
+    free(scratch);
     for (p = 0; p < P; p++) {
         for (i = bounds[p] + 1; i < bounds[p + 1]; i++) {
             i64 v = order[i];
@@ -315,6 +379,8 @@ int repro_plan_schedule(i64 n, i64 n_processors, const double *w,
         if (finishes[i] > makespan)
             makespan = finishes[i];
     f[2 * n] = makespan;
+    if (d != NULL)
+        f[2 * n + 1] = required_ratio(n, finishes, d);
     ix[0] = k;
     ix[1] = e;
     return 0;
@@ -579,7 +645,7 @@ def _wrap(lib: ctypes.CDLL
     raw.argtypes = [i64, i64] + [ptr] * 8
     raw_plan = lib.repro_plan_schedule
     raw_plan.restype = ctypes.c_int
-    raw_plan.argtypes = [i64, i64] + [ptr] * 6
+    raw_plan.argtypes = [i64, i64] + [ptr] * 7
     raw_levels = lib.repro_levels
     raw_levels.restype = None
     raw_levels.argtypes = [i64] + [ptr] * 6
@@ -603,16 +669,25 @@ def _wrap(lib: ctypes.CDLL
             raise MemoryError("C scheduler kernel allocation failed")
         return starts, finishes, procs
 
-    def plan(graph: TaskGraph, keys: np.ndarray,
-             n_processors: int) -> tuple:
+    def plan(graph: TaskGraph, keys: np.ndarray, n_processors: int,
+             deadlines: Optional[np.ndarray]) -> tuple:
         b = graph.binding(_bind)
         n, p = graph.n, n_processors
-        g = 2 * n + 1 + 2 * p  # first gap slot in f
-        f = np.empty(g + 4 * n)
-        f[g + 3 * n:] = keys
+        g = 2 * n + 2 + 2 * p  # first gap slot in f
+        k0 = g + 3 * n  # keys, then room for a copy of the deadlines
+        f = np.empty(k0 + 2 * n)
+        f[k0:k0 + n] = keys
+        base = _address(f)
+        if deadlines is keys:  # EDF: the keys are the deadline vector
+            d: Optional[int] = base + 8 * k0
+        elif isinstance(deadlines, np.ndarray) and deadlines.shape == (n,):
+            f[k0 + n:] = deadlines
+            d = base + 8 * (k0 + n)
+        else:
+            d = None
         ix = np.empty(4 + 2 * n + 3 * p, dtype=np.intp)
         rc = raw_plan(n, p, b.w, b.succ_flat, b.succ_offsets, b.in_degrees,
-                      _address(f), _address(ix))
+                      d, base, _address(ix))
         if rc != 0:  # pragma: no cover - malloc failure
             raise MemoryError("C scheduler kernel allocation failed")
         k, e = ix[:2].tolist()
@@ -623,10 +698,10 @@ def _wrap(lib: ctypes.CDLL
         q = 2 + 2 * n  # bounds
         r = q + p + 1  # gap bounds
         return (f[:n], f[n:2 * n], ix[2:2 + n], ix[2 + n:q], ix[q:r],
-                f[2 * n + 1:2 * n + 1 + p], f[2 * n + 1 + p:g],
+                f[2 * n + 2:2 * n + 2 + p], f[2 * n + 2 + p:g],
                 tuple(ix[r + p + 1:r + p + 1 + e].tolist()),
                 f[g:g + k], f[g + k:g + 2 * k], f[g + 2 * k:], ix[r:r + p + 1],
-                float(f[2 * n]))
+                float(f[2 * n]), None if d is None else float(f[2 * n + 1]))
 
     def levels(graph: TaskGraph, deadlines: Optional[np.ndarray],
                top_levels: Optional[np.ndarray]) -> None:
@@ -724,10 +799,12 @@ def _self_test(fn: Callable, plan: Optional[Callable] = None,
     the event loop ``fn`` against the ``heapq`` loop: ready-queue ties,
     a stall (three ready tasks, two processors), the
     simultaneous-completion drain, and processor reuse.  ``plan`` is
-    checked against ``Schedule.from_arrays`` on that graph, on a
-    zero-weight start tie on one processor, and with more processors
-    than tasks; ``levels`` against the Python ALAP and top-level loops,
-    with an override.
+    checked against ``Schedule.from_arrays`` and
+    ``required_reference_frequency`` on that graph, on a zero-weight
+    start tie on one processor, with more processors than tasks
+    (non-positive deadlines included), and on 70 independent tasks
+    that keep free processors in two bitset words; ``levels`` against
+    the Python ALAP and top-level loops, with an override.
     """
     keys = np.array([0.0, 3.0, 1.0, 2.0, 4.0])
     w = np.array([2.0, 3.0, 2.0, 2.0, 1.0])
@@ -746,15 +823,21 @@ def _self_test(fn: Callable, plan: Optional[Callable] = None,
     if plan is not None:
         tie = TaskGraph({"B": 3.0, "A": 0.0})
         tie_keys = np.array([10.0, 1.0])
-        for graph, k, n_procs in ((fork_join, keys, 2), (tie, tie_keys, 1),
-                                  (tie, tie_keys, 3)):
+        wide = TaskGraph({i: float(i % 2) for i in range(70)})
+        wide_keys = np.zeros(70)
+        for graph, k, d, n_procs in (
+                (fork_join, keys, keys + 10.0, 2),
+                (tie, tie_keys, np.array([2.0, 0.0]), 1),
+                (tie, tie_keys, np.array([-1.0, 5.0]), 3),
+                (wide, wide_keys, wide_keys, 66)):
             ref = Schedule.from_arrays(
                 graph, n_procs, *heapq_schedule(
                     k.tolist(), graph.weights_list, graph.succ_indices,
                     graph.in_degrees, n_procs))
-            if not same_kernel(
-                    Schedule._adopt(graph, n_procs,
-                                    *plan(graph, k, n_procs)), ref):
+            got = plan(graph, k, n_procs, d)
+            if not same_kernel(Schedule._adopt(graph, n_procs, *got), ref) \
+                    or got[-1].hex() != \
+                    ref.required_reference_frequency(d).hex():
                 return False
     if levels is not None:
         d = np.array([9.0, 9.0, 9.0, 9.0, 7.0])
@@ -807,19 +890,24 @@ def schedule_kernel_c(keys: np.ndarray, w: np.ndarray,
                    n_processors)
 
 
-def plan_schedule_c(graph: TaskGraph, keys: np.ndarray,
-                    n_processors: int) -> tuple:
+def plan_schedule_c(graph: TaskGraph, keys: np.ndarray, n_processors: int,
+                    deadlines: Optional[np.ndarray] = None) -> tuple:
     """One list schedule and its whole ``Schedule`` kernel, in one call.
 
-    Runs the event loop on ``keys`` (one per dense node index) and
-    derives everything :meth:`Schedule._init_arrays` computes, in the
-    argument order of :meth:`Schedule._adopt`.  The arrays are
+    Runs the event loop on ``keys`` (one per dense node index, no NaN)
+    and derives everything :meth:`Schedule._init_arrays` computes, in
+    the argument order of :meth:`Schedule._adopt`.  The arrays are
     read-only and byte-identical to ``Schedule.from_arrays`` over
     :func:`~repro.sched.eventloop.heapq_schedule`'s arrays.
+
+    The last element is the schedule's required-frequency ratio against
+    ``deadlines``, bitwise equal to
+    :meth:`Schedule.required_reference_frequency`, or ``None`` when
+    ``deadlines`` is not a length-``graph.n`` array.
     """
     if _plan is None:  # pragma: no cover - guarded by callers
         raise RuntimeError("C scheduler kernel is not available")
-    return _plan(graph, keys, n_processors)
+    return _plan(graph, keys, n_processors, deadlines)
 
 
 def levels_c(graph: TaskGraph, deadlines: Optional[np.ndarray],

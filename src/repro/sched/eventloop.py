@@ -11,6 +11,8 @@ Determinism: every heap holds *strictly totally ordered* entries —
 triples are unique because tasks are, and the free-processor heap holds
 distinct ids — so the pop sequence of any correct min-heap is the same,
 and the only floating-point arithmetic is ``finish = time + w[v]``.
+The order is total only without NaN keys (NaN compares false both
+ways), which :func:`repro.sched.priorities.priority_keys` rejects.
 """
 
 from __future__ import annotations

@@ -74,11 +74,12 @@ def _list_schedule(graph: TaskGraph, n_processors: int,
         deadlines = np.zeros(graph.n)
     keys = priority_keys(graph, deadlines, policy)
     if CKERNEL_ACTIVE:
-        # One C call replays heapq_schedule's event loop over flat
-        # array heaps (identical pop order) and derives the whole
-        # Schedule kernel exactly as Schedule.from_arrays would.
-        return Schedule._adopt(graph, n_processors,
-                               *plan_schedule_c(graph, keys, n_processors))
+        # One C call replays heapq_schedule's event loop (identical pop
+        # order), derives the whole Schedule kernel exactly as
+        # Schedule.from_arrays would, and computes the schedule's
+        # required-frequency ratio against ``deadlines``.
+        return Schedule._adopt(graph, n_processors, *plan_schedule_c(
+            graph, keys, n_processors, deadlines))
     arrays = heapq_schedule(keys.tolist(), graph.weights_list,
                             graph.succ_indices, graph.in_degrees,
                             n_processors)

@@ -9,6 +9,7 @@ corresponding ablation benchmarks.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict
 
 import numpy as np
@@ -75,9 +76,13 @@ def priority_keys(graph: TaskGraph, deadlines: np.ndarray,
                   policy: "str | PriorityPolicy" = "edf") -> np.ndarray:
     """Resolve ``policy`` (name or callable) and compute its keys.
 
+    Keys may be infinite but not NaN: the scheduler's ready queue needs
+    a total order on ``(key, index)``, and NaN compares false both ways.
+
     Raises:
         KeyError: for an unknown policy name.
-        ValueError: if the policy returns a wrong-shaped key vector.
+        ValueError: if the policy returns a wrong-shaped key vector or
+            a NaN key.
     """
     fn = PRIORITY_POLICIES[policy] if isinstance(policy, str) else policy
     keys = np.asarray(fn(graph, deadlines), dtype=float)
@@ -85,4 +90,12 @@ def priority_keys(graph: TaskGraph, deadlines: np.ndarray,
         raise ValueError(
             f"policy {getattr(fn, '__name__', fn)!r} returned shape "
             f"{keys.shape}, expected ({graph.n},)")
+    # A sum of squares is NaN exactly when some key is NaN (inf * inf
+    # is inf, and non-negative terms never cancel), at the cost of one
+    # dot product.
+    if math.isnan(keys @ keys):
+        raise ValueError(
+            f"policy {getattr(fn, '__name__', fn)!r} returned NaN "
+            f"priority keys (first at index "
+            f"{int(np.flatnonzero(np.isnan(keys))[0])})")
     return keys

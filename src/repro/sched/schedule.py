@@ -33,7 +33,7 @@ objects only on first access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,6 +83,8 @@ class Schedule:
         "_gap_lo", "_gap_hi", "_gap_len", "_gap_bounds",
         # lazily materialized Placement views
         "_by_task", "_by_proc",
+        # the fused call's required-frequency ratio (see _adopt) or None
+        "_build_ratio",
     )
 
     def __init__(self, graph: TaskGraph, n_processors: int,
@@ -122,6 +124,7 @@ class Schedule:
                 k += 1
         # The per-processor lists were built anyway: keep them as the
         # already-materialized view.
+        self._build_ratio = None
         self._by_task = by_task
         self._by_proc = tuple(tuple(lst) for lst in by_proc)
         self._init_arrays(graph, n_processors, starts, finishes, procs, order)
@@ -160,6 +163,7 @@ class Schedule:
         self = cls.__new__(cls)
         self._by_task = None
         self._by_proc = None
+        self._build_ratio = None
         # Within one processor: by start, then finish (a zero-weight
         # task precedes a task starting at its instant), then dense
         # index (lexsort is stable).
@@ -173,16 +177,22 @@ class Schedule:
                order: np.ndarray, bounds: np.ndarray, busy: np.ndarray,
                last: np.ndarray, employed_ids: Tuple[int, ...],
                gap_lo: np.ndarray, gap_hi: np.ndarray, gap_len: np.ndarray,
-               gap_bounds: np.ndarray, makespan: float) -> "Schedule":
+               gap_bounds: np.ndarray, makespan: float,
+               build_ratio: Optional[float] = None) -> "Schedule":
         """Adopt a complete, frozen kernel (the fused C call's output).
 
         The arguments are exactly what :meth:`_init_arrays` derives from
         ``(starts, finishes, procs, order)``; nothing is checked or
-        copied.
+        copied.  ``build_ratio`` is the fused call's
+        :meth:`required_reference_frequency` of the deadline vector
+        ``list_schedule`` received; only
+        :class:`repro.core.plans.PlanCache` reads it, right after a
+        build it made with that vector.
         """
         self = cls.__new__(cls)
         self._by_task = None
         self._by_proc = None
+        self._build_ratio = build_ratio
         self.graph = graph
         self.n_processors = n_processors
         self._starts = starts

@@ -17,8 +17,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.batch as batch_mod
-from repro.core.batch import ScheduleBatch, SweepRequest, batch_energy_sweep
-from repro.core.energy import schedule_energy
+from repro.core.batch import ScheduleBatch, SweepRequest, SweepRows, \
+    batch_energy_sweep
+from repro.core.energy import EnergyBreakdown, schedule_energy
+from repro.core.lamps import _best_point
 from repro.core.platform import default_platform
 from repro.core.stretch import feasible_points, required_frequency
 from repro.graphs.analysis import critical_path_length
@@ -26,6 +28,7 @@ from repro.graphs.dag import TaskGraph
 from repro.graphs.generators import stg_random_graph
 from repro.power.shutdown import SleepModel
 from repro.sched.deadlines import task_deadlines
+from repro.sched.ckernel import CKERNEL_ACTIVE
 from repro.sched.list_scheduler import list_schedule
 from repro.sched.schedule import Schedule
 
@@ -266,6 +269,60 @@ class TestBatchShapes:
                                      batch.gap_offsets[j + 1]]
                 assert np.array_equal(row, flat[bounds[p]:bounds[p + 1]])
         assert batch.max_tasks == max(s.graph.n for s, _, _ in members)
+
+
+class TestLazyRows:
+    """Native rows build each breakdown on first access, once."""
+
+    def _rows(self):
+        if not CKERNEL_ACTIVE:
+            pytest.skip("the reference loop returns plain lists")
+        s, points, window = _instance(7, 20, 2, 2.0)
+        got = batch_energy_sweep(
+            ScheduleBatch.from_schedules([s]),
+            [SweepRequest(0, points, window, sleep=PLATFORM.sleep),
+             SweepRequest(0, points[:2], window)])
+        want = [scalar_sweep(s, points, window, sleep=PLATFORM.sleep),
+                scalar_sweep(s, points[:2], window)]
+        return got, want
+
+    def test_sequence_protocol(self):
+        got, want = self._rows()
+        rows, ref = got[0], want[0]
+        assert isinstance(rows, SweepRows)
+        assert len(rows) == len(ref) > 2
+        assert rows == ref and ref == rows and rows != ref[1:]
+        assert rows != tuple(ref)
+        assert list(rows) == ref and rows[1:3] == ref[1:3]
+        assert rows[-1] == ref[-1]
+        with pytest.raises(IndexError):
+            rows[len(ref)]
+        assert got[1] == want[1]  # the second request's own lanes
+
+    def test_breakdowns_are_built_once(self):
+        got, _ = self._rows()
+        assert got[0][1] is got[0][1]
+        assert next(iter(got[0])) is got[0][0]
+
+    def test_totals_are_the_breakdowns_totals(self):
+        got, want = self._rows()
+        for rows, ref in zip(got, want):
+            assert np.array(rows.totals).tobytes() == \
+                np.array([e.total for e in ref]).tobytes()
+
+    def test_best_point_keeps_the_first_minimum(self):
+        """Rows and lists pick the same lane, ties included."""
+        got, want = self._rows()
+        for rows, ref in zip(got, want):
+            assert _best_point(rows) == _best_point(ref)
+        s, points, window = _instance(7, 20, 2, 2.0)
+        p = points[-1]
+        tied = batch_energy_sweep(ScheduleBatch.from_schedules([s]),
+                                  [SweepRequest(0, (p, p, p), window)])[0]
+        assert _best_point(tied) == (0, tied[0].total)
+        ref = [EnergyBreakdown(1.0, 1.0), EnergyBreakdown(0.5, 0.5),
+               EnergyBreakdown(0.25, 0.75), EnergyBreakdown(2.0, 0.0)]
+        assert _best_point(ref) == (1, 1.0)
 
 
 class TestBatchExceptionOrder:

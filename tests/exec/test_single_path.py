@@ -88,9 +88,11 @@ class TestStrictRowCheck:
             out = original(batch, requests)
             for ri, r in enumerate(requests):
                 if r.deadline_seconds == window and out[ri]:
-                    e = out[ri][0]
-                    out[ri][0] = dataclasses.replace(
-                        e, busy=math.nextafter(e.busy, math.inf))
+                    # Native rows are read-only sequences: swap in a list.
+                    row = list(out[ri])
+                    row[0] = dataclasses.replace(
+                        row[0], busy=math.nextafter(row[0].busy, math.inf))
+                    out[ri] = row
                     break
             return out
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.power.bodybias import ABBLadder
 from repro.power.dvs import DVSLadder, continuous_critical_frequency
 from repro.power.model import PowerModel
 from repro.power.technology import TECH_70NM
@@ -112,6 +113,54 @@ class TestQueries:
 
     def test_normalized_of_max_is_one(self, lad):
         assert lad.normalized(lad.max_point) == pytest.approx(1.0)
+
+
+def _probes(ladder):
+    """Requirements at, one ulp around, between, below and above the
+    ladder's frequencies, plus the non-finite ones."""
+    freqs = np.array([p.frequency for p in ladder])
+    probes = [0.0, -1.0, freqs[0] / 2, freqs[-1] * 2, np.inf, -np.inf]
+    for f in freqs:
+        probes += [f, np.nextafter(f, -np.inf), np.nextafter(f, np.inf)]
+    probes += list(0.5 * (freqs[1:] + freqs[:-1]))
+    return freqs, probes
+
+
+class TestLookupsMatchSearchsorted:
+    """The bisect lookups keep np.searchsorted's (side="left") answers."""
+
+    @pytest.mark.parametrize("make", [
+        DVSLadder, lambda: DVSLadder(vdd_step=0.1),
+        lambda: ABBLadder(performance_neutral=True)])
+    def test_every_probe(self, make):
+        ladder = make()
+        freqs, probes = _probes(ladder)
+        for f in probes:
+            idx = int(np.searchsorted(freqs, f, side="left"))
+            assert ladder.at_or_above(f) == tuple(ladder)[idx:], f
+            if idx < len(ladder):
+                assert ladder.slowest_at_least(f) is ladder[idx], f
+            else:
+                with pytest.raises(ValueError, match="exceeds"):
+                    ladder.slowest_at_least(f)
+
+    def test_nan_finds_no_point(self, lad):
+        """searchsorted sorts NaN last; bisect alone would answer 0."""
+        freqs = np.array([p.frequency for p in lad])
+        assert int(np.searchsorted(freqs, np.nan)) == len(lad)
+        assert lad.at_or_above(np.nan) == ()
+        with pytest.raises(ValueError, match="exceeds"):
+            lad.slowest_at_least(float("nan"))
+
+    def test_numpy_scalar_requirement(self, lad):
+        f = np.float64(lad[4].frequency)
+        assert lad.slowest_at_least(f) is lad[4]
+        assert lad.slowest_at_least(np.nextafter(f, np.inf)) is lad[5]
+
+    def test_critical_point_is_memoized(self, lad):
+        assert lad.critical_point() is lad.critical_point()
+        assert lad.critical_point() is min(
+            lad, key=lambda p: p.energy_per_cycle)
 
 
 class TestOperatingPointType:

@@ -18,6 +18,7 @@ import multiprocessing
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,13 +46,17 @@ needs_ckernel = pytest.mark.skipif(
     reason="C scheduler kernel unavailable (no compiler?)")
 
 
-def _kernel_inputs(graph, deadlines, policy="edf"):
+def _kernel_inputs_from_keys(graph, keys):
     succ_flat, succ_offsets = graph.succ_csr
-    keys = np.ascontiguousarray(priority_keys(graph, deadlines, policy),
-                                dtype=np.float64)
-    w = np.ascontiguousarray(graph.weights_array, dtype=np.float64)
-    deg = np.asarray(graph.in_degrees, dtype=np.intp)
-    return keys, w, succ_flat, succ_offsets, deg
+    return (np.ascontiguousarray(keys, dtype=np.float64),
+            np.ascontiguousarray(graph.weights_array, dtype=np.float64),
+            succ_flat, succ_offsets,
+            np.asarray(graph.in_degrees, dtype=np.intp))
+
+
+def _kernel_inputs(graph, deadlines, policy="edf"):
+    return _kernel_inputs_from_keys(
+        graph, priority_keys(graph, deadlines, policy))
 
 
 def _heapq_arrays(graph, n_procs, deadlines, policy="edf"):
@@ -232,6 +237,122 @@ class TestFusedPlanMatchesReference:
         for n_procs in (1, 2, 8):
             assert same_kernel(_fused_schedule(g, keys, n_procs),
                                _reference_schedule(g, keys, n_procs))
+
+
+def _wide_graph():
+    """More than 128 processors' worth of parallel work, with edges.
+
+    130 equal-key independent tasks (weights 1..3, so processors free
+    at different instants), ten zero-weight tasks keyed -inf/+inf that
+    join pairs of them, and a second layer of 30 tasks with keys drawn
+    from {-inf, 0, 2, +inf} — every free-processor pop and push crosses
+    the 64-bit words of the bitset.
+    """
+    weights = {i: float(1 + i % 3) for i in range(130)}
+    weights.update({130 + j: 0.0 for j in range(10)})
+    weights.update({140 + j: float(1 + j % 4) for j in range(30)})
+    edges = [(i, 130 + i % 10) for i in range(0, 130, 7)]
+    edges += [(130 + j % 10, 140 + j) for j in range(30)]
+    edges += [(2 * j + 1, 140 + j) for j in range(30)]
+    keys = np.zeros(170)
+    keys[130:140] = [-np.inf, np.inf] * 5
+    keys[140:] = [(-np.inf, 0.0, 2.0, np.inf)[j % 4] for j in range(30)]
+    return TaskGraph(weights, edges), keys
+
+
+@needs_ckernel
+class TestKernelEdges:
+    """Processor counts at the bitset's word boundaries, and the ratio."""
+
+    @pytest.mark.parametrize("n_procs", [1, 63, 64, 65, 127, 128, 129, 173])
+    def test_word_boundaries(self, n_procs):
+        g, keys = _wide_graph()
+        assert n_procs == 173 or n_procs < g.n  # 173 is n + 3
+        fused = _fused_schedule(g, keys, n_procs)
+        assert same_kernel(fused, _reference_schedule(g, keys, n_procs))
+        # The work keeps every processor busy at once at t = 0.
+        assert fused.employed_processors == min(n_procs, 130)
+        arrays = ckernel.schedule_kernel_c(*_kernel_inputs_from_keys(g, keys),
+                                           n_procs)
+        want = heapq_schedule(keys.tolist(), g.weights_list,
+                              g.succ_indices, g.in_degrees, n_procs)
+        for got, ref in zip(arrays, want):
+            assert got.tobytes() == ref.tobytes()
+
+    @given(small_dags(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_infinite_keys(self, g, data):
+        """±inf keys are totally ordered, so the backends agree."""
+        keys = np.array(data.draw(st.lists(
+            st.sampled_from([-np.inf, 0.0, 1.0, np.inf]),
+            min_size=g.n, max_size=g.n)))
+        n_procs = data.draw(st.integers(min_value=1, max_value=g.n + 3))
+        assert same_kernel(_fused_schedule(g, keys, n_procs),
+                           _reference_schedule(g, keys, n_procs))
+
+    @given(small_dags(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ratio_is_required_reference_frequency(self, g, data):
+        """Zero, negative, NaN and infinite deadlines included."""
+        keys = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1.0, 5.0]), min_size=g.n, max_size=g.n)))
+        d = np.array(data.draw(st.lists(
+            st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0, 1e7, np.inf,
+                             np.nan]),
+            min_size=g.n, max_size=g.n)))
+        n_procs = data.draw(st.integers(min_value=1, max_value=g.n + 3))
+        ref = _reference_schedule(g, keys, n_procs)
+        for deadlines in (d, keys):  # a separate vector, and the keys
+            ratio = ckernel.plan_schedule_c(g, keys, n_procs, deadlines)[-1]
+            assert ratio.hex() == \
+                ref.required_reference_frequency(deadlines).hex()
+
+    @pytest.mark.parametrize("d, want", [
+        ([2.0], 2.0), ([0.0], np.inf), ([-1.0], np.inf), ([8.0], 0.5)])
+    def test_ratio_of_one_task(self, d, want):
+        g = TaskGraph({"only": 4.0})
+        s = list_schedule(g, 2, np.array(d))
+        assert s._build_ratio == want
+        assert s._build_ratio == s.required_reference_frequency(np.array(d))
+
+    def test_ratio_of_one_zero_weight_task(self):
+        g = TaskGraph({"only": 0.0})
+        for d in ([0.0], [-1.0], [3.0]):
+            s = list_schedule(g, 1, np.array(d))
+            assert s._build_ratio == 0.0
+            assert s.required_reference_frequency(np.array(d)) == 0.0
+
+    def test_ratio_of_no_tasks(self):
+        """A graph always has a task; the routine itself handles none."""
+        empty = np.zeros(1, dtype=np.intp)
+
+        class NoTasks:
+            n = 0
+
+            @staticmethod
+            def binding(_):
+                addr = empty.ctypes.data
+                return ckernel._Binding(addr, addr, addr, addr, addr,
+                                        (empty, empty))
+
+        out = ckernel.plan_schedule_c(NoTasks(), np.empty(0), 2, np.empty(0))
+        assert out[-1] == 0.0 and out[-2] == 0.0
+        finishes = SimpleNamespace(_finish=np.empty(0))
+        assert Schedule.required_reference_frequency(
+            finishes, np.empty(0)) == 0.0
+
+    def test_no_ratio_without_a_deadline_vector(self):
+        g, keys = _wide_graph()
+        for d in (None, np.zeros(3), list(keys)):
+            assert ckernel.plan_schedule_c(g, keys, 4, d)[-1] is None
+        assert list_schedule(g, 4, policy="hlfet")._build_ratio == np.inf
+
+    def test_heapq_path_brings_no_ratio(self, monkeypatch):
+        import repro.sched.list_scheduler as ls
+
+        g, keys = _wide_graph()
+        monkeypatch.setattr(ls, "CKERNEL_ACTIVE", False)
+        assert list_schedule(g, 4, keys)._build_ratio is None
 
 
 @needs_ckernel
