@@ -5,7 +5,12 @@ outcome: the graph's structure and weights, the deadline, the platform
 parameters, and the priority policy.  :func:`instance_digest` folds all
 of it (plus :data:`CACHE_SCHEMA_VERSION`) into a SHA-256 key, so equal
 inputs hit the same entry across processes and machines while any
-change in the model parameters transparently misses.
+change in the model parameters transparently misses.  The key is the
+hash of one canonical JSON text; the graph's part of it, by far the
+largest, is built once per graph and process from the graph's index
+arrays and memoised on the graph (never pickled), so keying a graph at
+several deadlines serialises it once.  DESIGN.md §10 explains why the
+composed text equals a single ``json.dumps`` of the whole fingerprint.
 
 What is cached: the :class:`~repro.core.results.ScheduleResult`
 *summaries* — heuristic, energy breakdown, operating point, processor
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -79,19 +85,35 @@ CACHE_SCHEMA_VERSION = 2
 # ----------------------------------------------------------------------
 # Instance digests
 # ----------------------------------------------------------------------
-def _graph_fingerprint(graph: TaskGraph) -> dict:
-    """Structure + weights of ``graph`` over dense node indices.
+#: The canonical JSON encoder every part of a key goes through: sorted
+#: keys, no whitespace, ``ensure_ascii`` (so the text is its own UTF-8).
+_dumps = functools.partial(json.dumps, sort_keys=True,
+                           separators=(",", ":"))
 
-    Node *labels* do not influence scheduling (the schedulers operate on
-    dense indices), but the name is included so a cached result is never
-    replayed under a different benchmark label.
+
+def _graph_fragment(graph: TaskGraph) -> bytes:
+    """``_dumps`` of the graph's fingerprint, built from its index arrays.
+
+    The fingerprint is ``{"edges": [[u, v], ...], "name": ...,
+    "weights": [...]}`` over dense node indices, edges in ascending
+    ``(u, v)`` order.  Node *labels* do not influence scheduling (the
+    schedulers operate on dense indices), but the name is included so a
+    cached result is never replayed under a different benchmark label.
+
+    The text is written directly rather than through a list of
+    ``[u, v]`` lists: each index is stringified once, each source
+    task's edges are one ``str.join``, and weights use
+    ``float.__repr__`` — json's own float rendering, exact here because
+    a :class:`TaskGraph`'s weights are finite.
     """
-    return {
-        "name": graph.name,
-        "weights": graph.weights_array.tolist(),
-        "edges": [[u, v] for u, succs in enumerate(graph.succ_indices)
-                  for v in succs],
-    }
+    idx = list(map(str, range(graph.n)))
+    edges = ",".join([
+        "[" + idx[u] + "," + ("],[" + idx[u] + ",").join(
+            map(idx.__getitem__, succs)) + "]"
+        for u, succs in enumerate(graph.succ_indices) if succs])
+    weights = ",".join(map(float.__repr__, graph.weights_array.tolist()))
+    return ('{"edges":[' + edges + '],"name":' + _dumps(graph.name)
+            + ',"weights":[' + weights + "]}").encode()
 
 
 def _platform_fingerprint(platform: Platform) -> dict:
@@ -105,6 +127,22 @@ def _platform_fingerprint(platform: Platform) -> dict:
     }
 
 
+#: The last platform digested and its ``_dumps`` text.  A campaign and
+#: the service key every instance against one platform, so one slot
+#: serves them; another platform just replaces it.
+_platform_memo: Tuple[Optional[Platform], str] = (None, "")
+
+
+def _platform_text(platform: Platform) -> str:
+    """``_dumps`` of the platform's fingerprint, via ``_platform_memo``."""
+    global _platform_memo
+    last, text = _platform_memo
+    if last is not platform:
+        text = _dumps(_platform_fingerprint(platform))
+        _platform_memo = (platform, text)
+    return text
+
+
 def instance_digest(
     graph: TaskGraph,
     deadline: float,
@@ -116,26 +154,33 @@ def instance_digest(
 ) -> str:
     """Stable SHA-256 key of one (graph, deadline, platform, policy).
 
-    The digest is computed over a canonical JSON rendering (sorted keys,
-    no hash-seed dependence), so it is stable across process restarts
-    and ``PYTHONHASHSEED`` values.  Only string policies are digestible;
-    a callable policy has no stable identity and must bypass the cache.
+    The digest is taken over the canonical JSON rendering (sorted keys,
+    no whitespace, no hash-seed dependence) of ``{"deadline",
+    "deadline_overrides", "graph", "platform", "policy", "schema"}``,
+    so it is stable across process restarts and ``PYTHONHASHSEED``
+    values.  That text is fed to the hash in three parts — the keys
+    before ``"graph"``, the graph's fragment (built once per graph and
+    process, see :meth:`TaskGraph.fragment`), and the rest — so a graph
+    keyed at several deadlines is serialised once.  Only string
+    policies are digestible; a callable policy has no stable identity
+    and must bypass the cache.
     """
     if not isinstance(policy, str):
         raise TypeError(
             f"only named policies are cacheable, got {policy!r}")
-    fingerprint = {
-        "schema": CACHE_SCHEMA_VERSION if schema is None else schema,
-        "graph": _graph_fingerprint(graph),
-        "deadline": float(deadline),
-        "platform": _platform_fingerprint(platform),
-        "policy": policy,
-        "deadline_overrides": None if deadline_overrides is None else
-        sorted([graph.index_of(k), float(v)]
-               for k, v in deadline_overrides.items()),
-    }
-    blob = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    overrides = None if deadline_overrides is None else sorted(
+        [graph.index_of(k), float(v)] for k, v in deadline_overrides.items())
+    h = hashlib.sha256(
+        ('{"deadline":' + _dumps(float(deadline))
+         + ',"deadline_overrides":' + _dumps(overrides)
+         + ',"graph":').encode())
+    h.update(graph.fragment(_graph_fragment))
+    h.update((',"platform":' + _platform_text(platform)
+              + ',"policy":' + _dumps(policy)
+              + ',"schema":'
+              + _dumps(CACHE_SCHEMA_VERSION if schema is None else schema)
+              + "}").encode())
+    return h.hexdigest()
 
 
 # ----------------------------------------------------------------------

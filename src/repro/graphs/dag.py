@@ -47,7 +47,7 @@ class TaskGraph:
     __slots__ = (
         "name", "_ids", "_index", "_weights", "_preds", "_succs",
         "_topo", "_n_edges", "_in_degrees", "_weights_list", "_succ_csr",
-        "_binding",
+        "_binding", "_fragment",
     )
 
     def __init__(self, weights: Mapping[NodeId, float],
@@ -88,6 +88,7 @@ class TaskGraph:
         self._weights_list: Optional[Tuple[float, ...]] = None
         self._succ_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._binding: Any = None
+        self._fragment: Optional[bytes] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -254,10 +255,26 @@ class TaskGraph:
             b = self._binding = bind(self)
         return b
 
-    #: Derived caches and the process-local binding.  Pickling drops
+    def fragment(self, build: Callable[["TaskGraph"], bytes]) -> bytes:
+        """Process-local memo of ``build(self)``.
+
+        The result cache (:mod:`repro.exec.cache`) keeps this graph's
+        canonical JSON rendering here, so a graph digested at several
+        deadlines is serialised once per process.  Like
+        :meth:`binding`, pickling drops the memo (see :attr:`_CACHES`):
+        it is as large as the graph's edge list, and the receiving
+        process rebuilds it only if it digests the graph itself.
+        """
+        f = self._fragment
+        if f is None:
+            f = self._fragment = build(self)
+        return f
+
+    #: Derived caches and the process-local memos.  Pickling drops
     #: them, so a graph ships only its definition and the receiving
     #: process rebuilds them on first use.
-    _CACHES = ("_in_degrees", "_weights_list", "_succ_csr", "_binding")
+    _CACHES = ("_in_degrees", "_weights_list", "_succ_csr", "_binding",
+               "_fragment")
 
     def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
         return None, {k: getattr(self, k) for k in self.__slots__

@@ -97,9 +97,17 @@ def _is_int(x: Any) -> bool:
 
 
 def _is_finite(x: Any) -> bool:
-    """A finite JSON number (``json`` also parses ``Infinity``/``NaN``)."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
+    """A finite JSON number (``json`` also parses ``Infinity``/``NaN``).
+
+    An integer literal too large for a float (``1e400`` written out in
+    digits) is not finite here: every number becomes a float later.
+    """
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _build_graph(spec: Any) -> TaskGraph:

@@ -1,13 +1,18 @@
 """Unit tests for the content-addressed result cache."""
 
+import dataclasses
+import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.platform import default_platform
+from repro.core.platform import Platform, default_platform
 from repro.core.suite import paper_suite
 from repro.exec import cache as cache_mod
 from repro.exec.cache import (
@@ -18,7 +23,11 @@ from repro.exec.cache import (
     summarize_results,
 )
 from repro.graphs.analysis import critical_path_length
+from repro.graphs.dag import TaskGraph
+from repro.graphs.datasets import load_bundled
 from repro.graphs.generators import stg_random_graph
+from repro.power.shutdown import SleepModel
+from repro.sched.priorities import PRIORITY_POLICIES
 
 
 @pytest.fixture
@@ -85,6 +94,153 @@ class TestDigest:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == \
             instance_digest(g, deadline, platform, "edf")
+
+
+def reference_digest(graph, deadline, platform, policy, *,
+                     deadline_overrides=None, schema=None):
+    """The key as one ``json.dumps`` of the whole fingerprint.
+
+    This is the rendering :func:`instance_digest` composes piecewise;
+    it is kept here, verbatim, as the oracle the fast path must match
+    byte for byte.
+    """
+    ladder = platform.ladder
+    fingerprint = {
+        "schema": CACHE_SCHEMA_VERSION if schema is None else schema,
+        "graph": {
+            "name": graph.name,
+            "weights": graph.weights_array.tolist(),
+            "edges": [[u, v] for u, succs in enumerate(graph.succ_indices)
+                      for v in succs],
+        },
+        "deadline": float(deadline),
+        "platform": {
+            "technology": dataclasses.asdict(ladder.tech),
+            "vdd_step": ladder.vdd_step,
+            "points": [[p.frequency, p.vdd, p.vbs] for p in ladder],
+            "sleep": dataclasses.asdict(platform.sleep),
+        },
+        "policy": policy,
+        "deadline_overrides": None if deadline_overrides is None else
+        sorted([graph.index_of(k), float(v)]
+               for k, v in deadline_overrides.items()),
+    }
+    blob = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: Names that need escapes in JSON: quotes, backslashes, control
+#: characters, non-ASCII (``ensure_ascii`` writes ``\uXXXX``,
+#: surrogate pairs above the BMP), and the empty name.
+NAMES = st.one_of(
+    st.sampled_from(["", '"', "\\", "a\"b\\c", "\x00\x1f\n\t\x7f",
+                     "café", "調度", "\U0001f600", "\u2028"]),
+    st.text(max_size=12))
+
+#: Weights whose text is easy to get wrong: a non-terminating binary
+#: fraction, a float past 2**53 written in exponent form, the smallest
+#: subnormal, negative zero, and whole numbers handed in as ints.
+WEIGHTS = st.one_of(
+    st.sampled_from([0.1, 1e16, 5e-324, -0.0, 0.0, 3, 1, 3.1e6]),
+    st.integers(min_value=0, max_value=2 ** 60),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def digest_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    ids = draw(st.sampled_from([
+        list(range(n)),                        # int ids in index order
+        list(range(n))[::-1],                  # int ids, reversed
+        [f"t{i}" for i in range(n)],           # str ids
+    ]))
+    weights = {v: draw(WEIGHTS) for v in ids}
+    # Duplicate and unsorted input edges; u < v by index keeps the
+    # graph acyclic.
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda e: e[0] < e[1]), max_size=3 * n))
+    edges = [(ids[u], ids[v]) for u, v in pairs]
+    graph = TaskGraph(weights, edges, name=draw(NAMES))
+    overrides = draw(st.one_of(st.none(), st.dictionaries(
+        st.sampled_from(ids),
+        st.one_of(st.integers(0, 10 ** 9),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        max_size=n)))
+    return dict(
+        graph=graph,
+        deadline=draw(st.one_of(
+            st.floats(min_value=1e-300, allow_nan=False,
+                      allow_infinity=False),
+            st.integers(1, 10 ** 12))),
+        platform=draw(st.sampled_from(
+            [default_platform(),
+             Platform(sleep=SleepModel(sleep_power=99e-6))])),
+        policy=draw(st.sampled_from(sorted(PRIORITY_POLICIES))),
+        deadline_overrides=overrides,
+        schema=draw(st.sampled_from([None, 1, CACHE_SCHEMA_VERSION])))
+
+
+class TestDigestMatchesReference:
+    """The piecewise key is the single ``json.dumps`` key, bytewise."""
+
+    @given(digest_cases())
+    def test_fast_path_matches_json_dumps(self, case):
+        graph = case.pop("graph")
+        args = (graph, case.pop("deadline"), case.pop("platform"),
+                case.pop("policy"))
+        want = reference_digest(*args, **case)
+        assert instance_digest(*args, **case) == want
+        # Again: the graph's fragment now comes from its memo.
+        assert instance_digest(*args, **case) == want
+
+    def test_empty_edge_list_and_one_task(self, platform):
+        g = TaskGraph({0: 2}, name="solo")
+        assert g.m == 0
+        assert instance_digest(g, 4.0, platform, "edf") == \
+            reference_digest(g, 4.0, platform, "edf")
+
+    # Literal keys: a bug the oracle shared with the fast path (both
+    # read the same graph accessors) would still change these.
+    def test_pinned_bundled_graph(self, platform):
+        g = load_bundled("robot")
+        deadline = 2.0 * critical_path_length(g)
+        assert deadline == 1090.0
+        assert instance_digest(g, deadline, platform, "edf") == (
+            "b653cc2d4b66e2421e70f592801276cc7f93e642badaa60ef39c4705efebd720")
+
+    def test_pinned_one_task_graph(self, platform):
+        g = TaskGraph({"solo": 3.1e6}, name="")
+        assert instance_digest(g, 6.2e6, platform, "hlfet") == (
+            "d3170e1d4d94c639294c0cd5d8c92ebfef36975ba77aa101bc64e775c72d7363")
+
+    def test_pinned_overrides(self, platform):
+        g = TaskGraph({"a": 1, "b": 0.1, "c": 5e-324, "d": 1e16},
+                      [("c", "d"), ("a", "b"), ("a", "c"), ("a", "b")],
+                      name='café "q" \\ \x01')
+        key = instance_digest(g, 1e17, platform, "lpt",
+                              deadline_overrides={"d": 5e16, "b": 2},
+                              schema=1)
+        assert key == (
+            "288e630620df9f70feab3a0b592c3b295985dd9039a1966856f1539b991c2677")
+
+
+class TestFragmentMemo:
+    """The graph's key fragment is process-local: it never travels."""
+
+    def test_pickle_is_unchanged_by_digesting(self, instance, platform):
+        g, deadline = instance
+        before = pickle.dumps(g)
+        instance_digest(g, deadline, platform, "edf")
+        assert g._fragment is not None
+        assert pickle.dumps(g) == before
+
+    def test_unpickled_graph_starts_empty(self, instance, platform):
+        g, deadline = instance
+        key = instance_digest(g, deadline, platform, "edf")
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone._fragment is None
+        assert instance_digest(clone, deadline, platform, "edf") == key
 
 
 class TestRoundTrip:

@@ -121,6 +121,27 @@ class TestParseErrors:
         with pytest.raises(ProtocolError, match=field):
             parse_request(body, platform)
 
+    #: An integer literal too large for a float: ``math.isfinite``
+    #: raises ``OverflowError`` on it rather than answering.
+    HUGE = b"1" + b"0" * 400
+
+    @pytest.mark.parametrize("body,field", [
+        (b'{"graph": {"weights": [1.0, ' + HUGE + b']},'
+         b' "deadline_cycles": 5.0}', "graph.weights"),
+        (b'{"graph": {"bundled": "robot"}, "deadline_cycles": '
+         + HUGE + b"}", "deadline_cycles"),
+        (b'{"graph": {"bundled": "robot"}, "deadline_factor": '
+         + HUGE + b"}", "deadline_factor"),
+        (b'{"graph": {"bundled": "robot", "scale": ' + HUGE + b"},"
+         b' "deadline_factor": 2.0}', "graph.scale"),
+    ], ids=["graph.weights", "deadline_cycles", "deadline_factor",
+            "graph.scale"])
+    def test_integers_beyond_float_range_rejected(self, body, field,
+                                                  platform):
+        with pytest.raises(ProtocolError,
+                           match=f"'{field}' must be .*finite"):
+            parse_request(body, platform)
+
     def test_oversize_body_refused(self, platform):
         with pytest.raises(ProtocolError, match="too large"):
             parse_request(b" " * (MAX_BODY_BYTES + 1), platform)

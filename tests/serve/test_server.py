@@ -203,6 +203,22 @@ class TestScheduling:
 
         _serve(body, cache_dir=str(tmp_path))
 
+    def test_integer_beyond_float_range_is_400(self, tmp_path):
+        """A weight too large for a float is the client's error, named
+        by field and request id, not an internal one."""
+        async def body(server, host, port):
+            huge = {"graph": {"weights": [1.0, 10 ** 400]},
+                    "deadline_cycles": 5.0}
+            status, doc = await _request(host, port, "POST",
+                                         "/v1/schedule", huge)
+            assert status == 400, doc
+            assert doc["error"] == "bad_request"
+            assert "graph.weights" in doc["detail"]
+            assert doc["request_id"]
+            assert server.batcher.stats.dispatches == 0
+
+        _serve(body, cache_dir=str(tmp_path))
+
     def test_cacheless_server_computes_every_time(self, tmp_path):
         async def body(server, host, port):
             for want_dispatches in (1, 2):
