@@ -114,10 +114,12 @@ def audit_intermediate_schedule(schedule: Schedule, log: AuditLog,
 
 def audit_alias(served: Schedule, fresh: Schedule, log: AuditLog,
                 context: str) -> None:
-    """A width-alias serve equals a fresh build of the requested count.
+    """A shared plan-cache serve equals a fresh build of the request.
 
-    ``served`` is the stall-free schedule the plan cache hands out for
-    a wider count; ``fresh`` is that count built from scratch.  Start
+    ``served`` is the schedule the plan cache hands out for a count it
+    was not built on (a stall-free schedule served for a wider count)
+    or for priority keys other than its own (same order, another
+    deadline); ``fresh`` is the request built from scratch.  Start
     times, finish times and processor assignments must match bytewise.
     """
     diffs = [name for name in ("start_times", "finish_times",
@@ -127,8 +129,9 @@ def audit_alias(served: Schedule, fresh: Schedule, log: AuditLog,
     if diffs:
         log.fail("aliasing", context,
                  f"served schedule (built on {served.n_processors} "
-                 f"processors) differs from a fresh build on "
-                 f"{fresh.n_processors} in {', '.join(diffs)}")
+                 f"processors) differs from a fresh build of the "
+                 f"request on {fresh.n_processors} in "
+                 f"{', '.join(diffs)}")
     else:
         log.passed()
 

@@ -1,28 +1,37 @@
-"""Per-instance plan memoization + batched candidate evaluation.
+"""Plan memoization + batched candidate evaluation.
 
 The batch layer vectorizes energy evaluation *across* schedules and
-instances; what remains *within* one instance is redundant plan
-construction: LAMPS phase 1 (binary search
-over the processor count), phase 2 (linear sweep), Fig. 6's
-``energy_vs_processors`` and the six-heuristic suite all call
+instances; what remains is redundant plan construction: LAMPS phase 1
+(binary search over the processor count), phase 2 (linear sweep),
+Fig. 6's ``energy_vs_processors`` and the six-heuristic suite all call
 ``list_schedule`` on overlapping ``(graph, n, policy)`` configurations
 and re-derive the same deadline vectors, top levels and required-
-frequency ratios.  A :class:`PlanCache` memoizes all of these for the
-lifetime of one instance, and :func:`sweep_energies` evaluates every
-planned ladder sweep of a search in a single
-:func:`~repro.core.batch.batch_energy_sweep` call (one native sweep).
+frequency ratios, and the paper's campaigns run every graph at several
+deadlines.  A :class:`PlanCache` memoizes all of these — for one
+instance, or for a whole chunk of instances
+(:func:`~repro.core.suite.paper_suite_batch` keeps one per chunk, so
+a graph's schedules are built once for all of its deadlines) — and
+:func:`sweep_energies` evaluates every planned ladder sweep of a search
+in a single :func:`~repro.core.batch.batch_energy_sweep` call (one
+native sweep).
 
 Why plan reuse is exact (DESIGN.md §12 carries the full argument):
 
-* A list schedule is a pure function of ``(graph, n, priority-key
-  array)`` — the event loop of
-  :func:`~repro.sched.list_scheduler.list_schedule` reads nothing else.
-  Keys come from :func:`~repro.sched.priorities.priority_keys`, so the
-  cache key is the *key-array fingerprint* (``keys.tobytes()``): EDF
-  keys are the deadline vector itself (any deadline or override change
-  changes the fingerprint and misses), while structural policies
-  (HLFET, FIFO, LPT, SPT) are deadline-independent and legitimately
-  share one entry across deadlines.
+* A list schedule is a pure function of ``(graph, n, key order)``.
+  The event loop of :func:`~repro.sched.list_scheduler.list_schedule`
+  reads the priority keys (from
+  :func:`~repro.sched.priorities.priority_keys`) only through
+  ``(key, index)`` comparisons, NaN keys are rejected, and the order
+  those comparisons define is fixed by the keys' stable-argsort
+  permutation.  So the cache key is the *order fingerprint*
+  (``np.argsort(keys, kind="stable").tobytes()``): two key vectors with
+  the same permutation pop the same sequence from every heap and build
+  byte-identical schedules.  EDF keys are the ALAP deadline vector,
+  and moving the graph deadline shifts every task's deadline alike, so
+  a graph's deadlines usually share one order and one schedule per
+  count; when rounding or an override reorders two tasks, the
+  fingerprint differs and the lookup misses.  Structural policies
+  (HLFET, FIFO, LPT, SPT) are deadline-independent and share too.
 * **Width aliasing**: the scheduler's free processors form a min-heap,
   so a ready task only ever waits when *all* ``n`` processors are busy
   — which forces ``employed == n``.  Contrapositive: a schedule built
@@ -31,27 +40,32 @@ Why plan reuse is exact (DESIGN.md §12 carries the full argument):
   decisions only read the busy set, which stays inside ``{0..e-1}``).
   One stall-free schedule therefore serves every processor count at or
   above the graph's width — most of LAMPS phase 1's binary-search
-  probes, and the full-spread S&S build.  Aliasing applies **only**
-  when the builder *is* the canonical ``list_schedule``: the identity
-  argument is a theorem about that scheduler, not about arbitrary
-  substitutes (the anomaly tests monkeypatch module-level
-  ``list_schedule`` names with synthetic schedules; those get exact
-  per-count caching only).
+  probes, and the full-spread S&S build.  Aliasing and order keys
+  apply **only** when the builder *is* the canonical
+  ``list_schedule``: both arguments are theorems about that scheduler,
+  not about arbitrary substitutes (the anomaly tests monkeypatch
+  module-level ``list_schedule`` names with synthetic schedules; those
+  get exact per-count caching keyed by the raw deadline bytes).
 * Deadline vectors, top levels and required-frequency ratios are pure
-  functions of their (pinned, frozen) inputs — memoization returns the
-  identical float/array contents.  A canonical build on the C kernel
-  brings its own ratio against the deadline vector it was built with;
-  the kernel repeats ``required_reference_frequency``'s divisions and
-  takes an exact maximum, so the recorded float is the same one.
+  functions of their (pinned, frozen) inputs and stay keyed by the
+  deadline — memoization returns the identical float/array contents.
+  A canonical build on the C kernel brings its own ratio against the
+  deadline vector it was built with; the kernel repeats
+  ``required_reference_frequency``'s divisions and takes an exact
+  maximum, so the recorded float is the same one.  A schedule served
+  for another deadline gets its ratio against that deadline from
+  :meth:`PlanCache.ratio`.
 
-Strict/audit runs share the production cache, aliasing included.  A
-fresh build is validated structurally and counted as built; a
-width-alias serve is verified instead: the requested count is built
+Strict/audit runs share the production cache, aliasing and order keys
+included.  A fresh build is validated structurally and counted as
+built; a *shared serve* — a schedule served for a processor count it
+was not built on (width alias) or for a priority-key vector other than
+the one it was built from — is verified instead: the request is built
 once more and compared bytewise with the served schedule
-(:func:`~repro.audit.invariants.audit_alias`).  That verification build
-is neither cached nor counted, so hits, misses and the obs counters are
-those of an unaudited run.  Every ratio a build brings along is compared
-bitwise with ``required_reference_frequency``
+(:func:`~repro.audit.invariants.audit_alias`).  That verification
+build is neither cached nor counted, so hits, misses and the obs
+counters are those of an unaudited run.  Every ratio a build brings
+along is compared bitwise with ``required_reference_frequency``
 (:func:`~repro.audit.invariants.audit_ratio`), one passed check each.
 """
 
@@ -139,20 +153,22 @@ def sweep_energies(sweeps: Sequence[PlannedSweep],
 
 
 class PlanCache:
-    """Memoizes the energy-independent plan work of one instance.
+    """Memoizes the energy-independent plan work of instances.
 
     Caches, per graph identity: ALAP deadline vectors
     (:meth:`deadline_vector`), top levels (:meth:`top_levels`),
     priority-key fingerprints, required-frequency ratios
     (:meth:`ratio`) and — the dominant cost — list schedules
-    (:meth:`schedule`), keyed by ``(graph identity, priority-key
+    (:meth:`schedule`), keyed by ``(graph identity, key-order
     fingerprint, processor count)`` with the width-aliasing fast path
     described in the module docstring.
 
-    The intended lifetime is one instance (one ``(graph, deadline)``
-    pair), shared across every search that instance runs; entries pin
-    strong references to their graphs and arrays, so a longer-lived
-    cache holds its inputs alive.
+    One cache may serve any number of instances: every search of an
+    instance (``evaluate_all``, ``lamps_search``), or every instance of
+    a chunk (:func:`~repro.core.suite.paper_suite_batch`), where the
+    instances of one graph share its schedules across deadlines.
+    Entries pin strong references to their graphs and arrays, so the
+    cache holds its inputs alive for its own lifetime.
 
     Attributes:
         hits, misses: schedule-cache counters; also surfaced through
@@ -169,9 +185,11 @@ class PlanCache:
         self._deadline_vecs: Dict[Tuple[int, float],
                                   Tuple[np.ndarray, bool]] = {}
         self._tops: Dict[int, np.ndarray] = {}
-        self._key_fps: Dict[tuple, bytes] = {}
-        self._exact: Dict[tuple, Schedule] = {}
-        self._stall_free: Dict[tuple, Schedule] = {}
+        self._key_fps: Dict[tuple, Tuple[bytes, bytes, np.ndarray]] = {}
+        # Schedules with the raw key bytes they were built from (None
+        # for non-canonical builders, whose keys are exact).
+        self._exact: Dict[tuple, Tuple[Schedule, Optional[bytes]]] = {}
+        self._stall_free: Dict[tuple, Tuple[Schedule, bytes]] = {}
         self._ratios: Dict[Tuple[int, int], tuple] = {}
 
     def _gid(self, graph: TaskGraph) -> int:
@@ -240,14 +258,24 @@ class PlanCache:
     # Schedule memo (the dominant cost)
     # ------------------------------------------------------------------
     def _key_fingerprint(self, graph: TaskGraph, deadlines: np.ndarray,
-                         policy: Union[str, PriorityPolicy]) -> bytes:
+                         policy: Union[str, PriorityPolicy]
+                         ) -> Tuple[bytes, bytes, np.ndarray]:
+        """``(order fingerprint, raw key bytes, pinned vector)``.
+
+        A frozen vector (read-only and owning its data, as
+        :meth:`deadline_vector` returns them) is looked up by identity —
+        the entry pins it, so its id cannot be recycled — and any other
+        vector by its bytes, which its owner may still change.
+        """
         gid = self._gid(graph)
         d = np.asarray(deadlines, dtype=float)
-        key = (gid, policy, d.tobytes())
+        frozen = d is deadlines and d.base is None and not d.flags.writeable
+        key = (gid, policy, id(d) if frozen else d.tobytes())
         fp = self._key_fps.get(key)
         if fp is None:
-            fp = priority_keys(graph, d, policy).tobytes()
-            self._key_fps[key] = fp
+            keys = priority_keys(graph, d, policy)
+            fp = self._key_fps[key] = (
+                np.argsort(keys, kind="stable").tobytes(), keys.tobytes(), d)
         return fp
 
     def schedule(self, graph: TaskGraph, n: int,
@@ -263,25 +291,27 @@ class PlanCache:
         module-level ``list_schedule`` reference, so monkeypatched
         builders are honoured), the audit counters/checks run exactly
         as an uncached build would, and the result is stored under its
-        priority-key fingerprint.  On a hit nothing is built, audited
-        or counted — matching the historical local-dict caches, which
-        only counted fresh builds.
+        key-order fingerprint.  On a hit nothing is built or counted —
+        matching the historical local-dict caches, which only counted
+        fresh builds.
 
         Width aliasing (see the module docstring) serves a stall-free
         cached schedule for any requested count at or above its
         employed width, and only when ``build`` is the canonical
-        scheduler.  With ``log`` set, each alias serve is verified
-        against a fresh build of the requested count.
+        scheduler.  With ``log`` set, each shared serve — a width alias,
+        or a hit built from other priority keys with the same order —
+        is verified against a fresh build of the request.
         """
         if build is None:
             build = list_schedule
         gid = self._gid(graph)
         canonical = build is list_schedule
         fp: object
+        raw: Optional[bytes] = None
         if canonical:
             # list_schedule substitutes zeros for a missing deadline
             # vector; fingerprint the same substitution.
-            fp = self._key_fingerprint(
+            fp, raw, _ = self._key_fingerprint(
                 graph,
                 deadlines if deadlines is not None else np.zeros(graph.n),
                 policy)
@@ -290,17 +320,21 @@ class PlanCache:
                   None if deadlines is None
                   else np.asarray(deadlines, dtype=float).tobytes())
         key = (gid, fp, n)
-        s = self._exact.get(key)
-        if s is None and canonical:
-            free = self._stall_free.get((gid, fp))
-            if free is not None and n >= free.employed_processors:
-                if log is not None:
-                    audit_alias(free,
-                                build(graph, n, deadlines, policy=policy),
-                                log, label or f"{graph.name or 'graph'}[n={n}]")
-                s = self._exact[key] = free
+        ent = self._exact.get(key)
+        aliased = False
+        if ent is None and canonical:
+            ent = self._stall_free.get((gid, fp))
+            if ent is not None and n >= ent[0].employed_processors:
+                self._exact[key] = ent
+                aliased = True
+            else:
+                ent = None
         o = live(obs)
-        if s is not None:
+        if ent is not None:
+            s = ent[0]
+            if log is not None and (aliased or ent[1] != raw):
+                audit_alias(s, build(graph, n, deadlines, policy=policy),
+                            log, label or f"{graph.name or 'graph'}[n={n}]")
             self.hits += 1
             o.count("plan_cache.hits")
             return s
@@ -319,10 +353,10 @@ class PlanCache:
                 audit_ratio(s, deadlines, ratio, log,
                             label or f"{graph.name or 'graph'}[n={n}]")
             self._ratios[(id(s), id(deadlines))] = (s, deadlines, ratio)
-        self._exact[key] = s
+        self._exact[key] = (s, raw)
         if canonical and s.employed_processors < n and \
                 (gid, fp) not in self._stall_free:
-            self._stall_free[(gid, fp)] = s
+            self._stall_free[(gid, fp)] = (s, raw)
         return s
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

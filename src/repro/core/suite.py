@@ -2,8 +2,11 @@
 
 :func:`paper_suite_batch` produces the same results as calling
 :func:`repro.core.api.schedule` six times per instance, but shares the
-expensive intermediates: S&S and S&S+PS use one schedule, and LAMPS and
-LAMPS+PS share the whole per-processor-count schedule cache.  The
+expensive intermediates: S&S and S&S+PS use one schedule, LAMPS and
+LAMPS+PS share the whole per-processor-count schedule cache, and the
+chunk's instances of one graph — the paper's campaigns run each graph
+at several deadlines — share one :class:`~repro.core.plans.PlanCache`,
+so each of its list schedules is built once per chunk.  The
 experiment harness and the service call it in their inner loop
 (thousands of instances), so the sharing matters — profiling shows list
 scheduling dominates the runtime, exactly as the paper's complexity
@@ -107,6 +110,7 @@ def _plan_suite(
     audit: Optional[AuditLog],
     obs: Optional[ObsLog],
     o: Union[ObsLog, NullObs],
+    plans: PlanCache,
 ) -> _SuitePlan:
     """Run the suite's control flow; emit the sweeps it needs.
 
@@ -120,15 +124,16 @@ def _plan_suite(
     Energy evaluation is deferred to the returned plan's ``sweeps``.
 
     All schedule builds, deadline vectors and required-frequency
-    ratios go through one per-instance
+    ratios go through ``plans``, the chunk's
     :class:`~repro.core.plans.PlanCache`, so the S&S family and LAMPS
     share every overlapping configuration (the full-spread build *is*
     the phase-1 upper bound, and width aliasing collapses every probe
-    at or above the graph's width onto it).
+    at or above the graph's width onto it), and the chunk's other
+    instances of the same graph reuse these schedules at their own
+    deadlines.
     """
     platform = platform or default_platform()
     log = audit if audit is not None else (AuditLog() if strict else None)
-    plans = PlanCache()
     d = plans.deadline_vector(graph, deadline_cycles)
     plan = _SuitePlan(
         graph=graph, deadline_cycles=deadline_cycles,
@@ -273,7 +278,11 @@ def paper_suite_batch(
 
     Plans every instance sequentially (so any
     :class:`~repro.core.results.InfeasibleScheduleError` surfaces for
-    the same instance, in the same order, as a serial loop), evaluates
+    the same instance, in the same order, as a serial loop) through one
+    :class:`~repro.core.plans.PlanCache` for the whole chunk, so the
+    chunk's instances of one graph build its list schedules once for
+    all their deadlines (the cache keys schedules by key order; see
+    :mod:`repro.core.plans`), evaluates
     every planned ladder of the chunk in a single
     :func:`~repro.core.batch.batch_energy_sweep` call (via
     :func:`~repro.core.plans.sweep_energies`), and finishes each
@@ -284,8 +293,9 @@ def paper_suite_batch(
     step carries that instance's chunk-local ``instance_index``.
 
     ``strict``/``audit`` run the :mod:`repro.audit` invariant checks on
-    every intermediate schedule, every width-alias serve of the plan
-    cache and every schedule-bearing result, and
+    every intermediate schedule, every shared serve of the plan cache
+    (width aliases, and schedules built at another deadline of the
+    same graph) and every schedule-bearing result, and
     cross-check every sweep row against the scalar
     :func:`~repro.core.energy.schedule_energy` bitwise (``strict``
     alone uses a fresh :class:`~repro.audit.report.AuditLog` per
@@ -298,6 +308,7 @@ def paper_suite_batch(
     """
     o = live(obs)
     out: List[Dict[Heuristic, ScheduleResult]] = []
+    cache = PlanCache()
     with o.span("suite.batch", category="suite", instances=len(instances)):
         plans: List[_SuitePlan] = []
         for i, (graph, deadline) in enumerate(instances):
@@ -306,7 +317,8 @@ def paper_suite_batch(
                             graph=graph.name, tasks=graph.n):
                     plans.append(_plan_suite(
                         graph, deadline, platform=platform, policy=policy,
-                        strict=strict, audit=audit, obs=obs, o=o))
+                        strict=strict, audit=audit, obs=obs, o=o,
+                        plans=cache))
             except BaseException as exc:
                 _annotate_instance_failure(exc, i, instances[i])
                 raise

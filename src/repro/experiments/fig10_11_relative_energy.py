@@ -62,31 +62,36 @@ def run(*, platform: Optional[Platform] = None,
         suite_kwargs["sizes"] = tuple(sizes)
     suite = benchmark_suite(**suite_kwargs)
 
-    # Flatten the campaign: one instance per (factor, bench, graph), in
-    # the same nesting order the aggregation below consumes.
+    # Flatten the campaign graph-major, deadline factors inner: each
+    # scenario graph is built once and its instances sit side by side,
+    # so a chunk's plan cache shares the graph's list schedules across
+    # its deadlines.
     instances = []
-    labels: List[tuple] = []
-    for factor in deadline_factors:
-        for bench, graphs in suite.items():
-            for unit_graph in graphs:
-                g = scenario.apply(unit_graph)
-                instances.append((g, factor * critical_path_length(g)))
-                labels.append((factor, bench))
+    for graphs in suite.values():
+        for unit_graph in graphs:
+            g = scenario.apply(unit_graph)
+            cpl = critical_path_length(g)
+            instances.extend((g, factor * cpl)
+                             for factor in deadline_factors)
     all_results = evaluate_suite_instances(
         instances, platform=platform, options=exec_options)
+    # by_factor[k][bench]: one result per graph of bench, in order.
+    results_at = iter(all_results)
+    by_factor: List[Dict[str, list]] = [
+        {bench: [] for bench in suite} for _ in deadline_factors]
+    for bench, graphs in suite.items():
+        for _ in graphs:
+            for per_bench in by_factor:
+                per_bench[bench].append(next(results_at))
 
     sections: List[str] = []
     data: Dict[str, dict] = {}
-    cursor = 0
-    for factor in deadline_factors:
+    for factor, bench_results in zip(deadline_factors, by_factor):
         rows = []
         per_bench: Dict[str, Dict[str, float]] = {}
         for bench, graphs in suite.items():
             rel = np.zeros(len(_ORDER))
-            for _ in graphs:
-                assert labels[cursor] == (factor, bench)
-                results = all_results[cursor]
-                cursor += 1
+            for results in bench_results[bench]:
                 base = results[Heuristic.SNS].total_energy
                 rel += np.array([results[h].total_energy / base
                                  for h in _ORDER])

@@ -1,15 +1,14 @@
 """Optional C accelerator for the planning layer and the ladder sweep.
 
-The C source below has four routines, compiled on first use with the
+The C source below has three routines, compiled on first use with the
 system C compiler and loaded through :mod:`ctypes`:
 
-* ``repro_list_schedule`` — the event loop of
+* ``repro_plan_schedule`` — the fused call per list schedule behind
+  :func:`plan_schedule_c`: the event loop of
   :func:`repro.sched.eventloop.heapq_schedule` over flat arrays (ready
   and event heaps of ``{key, task}`` structs, a free-processor bitset
-  and a CSR successor walk, in one scratch allocation per call),
-  behind :func:`schedule_kernel_c`;
-* ``repro_plan_schedule`` — the fused call per list schedule behind
-  :func:`plan_schedule_c`: the same event loop, then everything
+  and a CSR successor walk, in one scratch allocation per call), then
+  everything
   :meth:`Schedule._init_arrays <repro.sched.schedule.Schedule>`
   derives (per-processor order and bounds, busy cycles, last finish,
   employed ids, internal gaps, makespan), ready for the private
@@ -23,7 +22,7 @@ system C compiler and loaded through :mod:`ctypes`:
   :func:`repro.core.batch.batch_energy_sweep` calls once per batch.
 
 No third-party package is required.  ``REPRO_NO_CKERNEL`` gates all
-four together, and when no compiler is available (or compilation,
+three together, and when no compiler is available (or compilation,
 loading, or the import-time self-test fails for any reason) the module
 degrades silently to the Python references: the ``heapq`` loop with
 ``Schedule.from_arrays``, the loops of :mod:`repro.graphs.analysis`,
@@ -79,8 +78,7 @@ from ..graphs.dag import TaskGraph
 from .eventloop import heapq_schedule
 from .schedule import Schedule, same_kernel
 
-__all__ = ["CKERNEL_ACTIVE", "levels_c", "plan_schedule_c",
-           "schedule_kernel_c", "sweep_c"]
+__all__ = ["CKERNEL_ACTIVE", "levels_c", "plan_schedule_c", "sweep_c"]
 
 # Backend selection only — both backends are bitwise-identical, so this
 # flag cannot affect results, reports, or cache bytes.
@@ -180,8 +178,8 @@ static size_t loop_bytes(i64 n, i64 n_processors) {
 /* The event loop of repro.sched.eventloop.heapq_schedule.  The free
  * processors are a bitset popped at its lowest set bit: the lowest free
  * id, exactly what the reference's min-heap of ids pops.  lo is the
- * lowest word that may hold a set bit.  When seq is not NULL it
- * receives the tasks in dispatch order. */
+ * lowest word that may hold a set bit.  seq receives the tasks in
+ * dispatch order. */
 static void event_loop(i64 n, i64 n_processors,
                        const double *keys, const double *w,
                        const i64 *succ_flat, const i64 *succ_offsets,
@@ -219,9 +217,7 @@ static void event_loop(i64 n, i64 n_processors,
             finishes[v] = time + w[v];
             procs[v] = p;
             push(running, &q_n, finishes[v], v);
-            if (seq != NULL)
-                seq[scheduled] = v;
-            scheduled++;
+            seq[scheduled++] = v;
         }
         if (q_n == 0)
             break;  /* all remaining tasks were sources already dispatched */
@@ -243,20 +239,6 @@ static void event_loop(i64 n, i64 n_processors,
             e = pop(running, &q_n);
         }
     }
-}
-
-int repro_list_schedule(i64 n, i64 n_processors,
-                        const double *keys, const double *w,
-                        const i64 *succ_flat, const i64 *succ_offsets,
-                        const i64 *in_degrees,
-                        double *starts, double *finishes, i64 *procs) {
-    void *scratch = malloc(loop_bytes(n, n_processors));
-    if (scratch == NULL)
-        return -1;
-    event_loop(n, n_processors, keys, w, succ_flat, succ_offsets,
-               in_degrees, starts, finishes, procs, scratch, NULL);
-    free(scratch);
-    return 0;
 }
 
 /* Schedule.required_reference_frequency: the max over tasks of
@@ -636,13 +618,9 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def _wrap(lib: ctypes.CDLL
-          ) -> Tuple[Callable, Callable, Callable, Callable]:
-    """Python entry points over the four C routines of ``lib``."""
+def _wrap(lib: ctypes.CDLL) -> Tuple[Callable, Callable, Callable]:
+    """Python entry points over the three C routines of ``lib``."""
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    raw = lib.repro_list_schedule
-    raw.restype = ctypes.c_int
-    raw.argtypes = [i64, i64] + [ptr] * 8
     raw_plan = lib.repro_plan_schedule
     raw_plan.restype = ctypes.c_int
     raw_plan.argtypes = [i64, i64] + [ptr] * 7
@@ -652,22 +630,6 @@ def _wrap(lib: ctypes.CDLL
     raw_sweep = lib.repro_sweep
     raw_sweep.restype = ctypes.c_int
     raw_sweep.argtypes = [i64] + [ptr] * 12
-
-    def kernel(keys: np.ndarray, w: np.ndarray,
-               succ_flat: np.ndarray, succ_offsets: np.ndarray,
-               in_degrees: np.ndarray, n_processors: int
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = keys.shape[0]
-        starts = np.zeros(n)
-        finishes = np.zeros(n)
-        procs = np.zeros(n, dtype=np.intp)
-        rc = raw(n, n_processors, keys.ctypes.data, w.ctypes.data,
-                 succ_flat.ctypes.data, succ_offsets.ctypes.data,
-                 in_degrees.ctypes.data, starts.ctypes.data,
-                 finishes.ctypes.data, procs.ctypes.data)
-        if rc != 0:  # pragma: no cover - malloc failure
-            raise MemoryError("C scheduler kernel allocation failed")
-        return starts, finishes, procs
 
     def plan(graph: TaskGraph, keys: np.ndarray, n_processors: int,
              deadlines: Optional[np.ndarray]) -> tuple:
@@ -728,7 +690,7 @@ def _wrap(lib: ctypes.CDLL
             raise MemoryError("C sweep kernel allocation failed")
         return out, shut, (tuple(bad.tolist()) if rc else None)
 
-    return kernel, plan, levels, sweep
+    return plan, levels, sweep
 
 
 def _sweep_self_test(sweep: Callable) -> bool:
@@ -790,55 +752,44 @@ def _sweep_self_test(sweep: Callable) -> bool:
     return sweep(req[[0, 2]], short, pts[[0, 1, 4]], *arrays)[2] == (2, -1)
 
 
-def _self_test(fn: Callable, plan: Optional[Callable] = None,
-               levels: Optional[Callable] = None,
+def _self_test(plan: Callable, levels: Optional[Callable] = None,
                sweep: Optional[Callable] = None) -> bool:
     """Differentially test the loaded routines against the Python ones.
 
-    A fork–join graph on two processors exercises every code path of
-    the event loop ``fn`` against the ``heapq`` loop: ready-queue ties,
-    a stall (three ready tasks, two processors), the
-    simultaneous-completion drain, and processor reuse.  ``plan`` is
-    checked against ``Schedule.from_arrays`` and
-    ``required_reference_frequency`` on that graph, on a zero-weight
-    start tie on one processor, with more processors than tasks
-    (non-positive deadlines included), and on 70 independent tasks
-    that keep free processors in two bitset words; ``levels`` against
-    the Python ALAP and top-level loops, with an override.
+    ``plan`` is checked against the ``heapq`` loop with
+    ``Schedule.from_arrays`` and ``required_reference_frequency``: on a
+    fork–join graph on two processors that exercises every code path
+    of the event loop (ready-queue ties, a stall — three ready tasks,
+    two processors — the simultaneous-completion drain, and processor
+    reuse), on a zero-weight start tie on one processor, with more
+    processors than tasks (non-positive deadlines included), and on 70
+    independent tasks that keep free processors in two bitset words;
+    ``levels`` against the Python ALAP and top-level loops, with an
+    override.
     """
     keys = np.array([0.0, 3.0, 1.0, 2.0, 4.0])
-    w = np.array([2.0, 3.0, 2.0, 2.0, 1.0])
-    succ_flat = np.array([1, 2, 3, 4, 4, 4], dtype=np.intp)
-    succ_offsets = np.array([0, 3, 4, 5, 6, 6], dtype=np.intp)
-    in_degrees = np.array([0, 1, 1, 1, 3], dtype=np.intp)
-    succs = [succ_flat[succ_offsets[v]:succ_offsets[v + 1]].tolist()
-             for v in range(len(keys))]
-    want = heapq_schedule(keys.tolist(), w.tolist(), succs,
-                          in_degrees.tolist(), 2)
-    got = fn(keys, w, succ_flat, succ_offsets, in_degrees, 2)
-    if not all(np.array_equal(a, b) for a, b in zip(want, got)):
-        return False
-    fork_join = TaskGraph(dict(enumerate(w.tolist())),
+    w = [2.0, 3.0, 2.0, 2.0, 1.0]
+    succs = [[1, 2, 3], [4], [4], [4], []]
+    fork_join = TaskGraph(dict(enumerate(w)),
                           [(v, s) for v in range(5) for s in succs[v]])
-    if plan is not None:
-        tie = TaskGraph({"B": 3.0, "A": 0.0})
-        tie_keys = np.array([10.0, 1.0])
-        wide = TaskGraph({i: float(i % 2) for i in range(70)})
-        wide_keys = np.zeros(70)
-        for graph, k, d, n_procs in (
-                (fork_join, keys, keys + 10.0, 2),
-                (tie, tie_keys, np.array([2.0, 0.0]), 1),
-                (tie, tie_keys, np.array([-1.0, 5.0]), 3),
-                (wide, wide_keys, wide_keys, 66)):
-            ref = Schedule.from_arrays(
-                graph, n_procs, *heapq_schedule(
-                    k.tolist(), graph.weights_list, graph.succ_indices,
-                    graph.in_degrees, n_procs))
-            got = plan(graph, k, n_procs, d)
-            if not same_kernel(Schedule._adopt(graph, n_procs, *got), ref) \
-                    or got[-1].hex() != \
-                    ref.required_reference_frequency(d).hex():
-                return False
+    tie = TaskGraph({"B": 3.0, "A": 0.0})
+    tie_keys = np.array([10.0, 1.0])
+    wide = TaskGraph({i: float(i % 2) for i in range(70)})
+    wide_keys = np.zeros(70)
+    for graph, k, d, n_procs in (
+            (fork_join, keys, keys + 10.0, 2),
+            (tie, tie_keys, np.array([2.0, 0.0]), 1),
+            (tie, tie_keys, np.array([-1.0, 5.0]), 3),
+            (wide, wide_keys, wide_keys, 66)):
+        ref = Schedule.from_arrays(
+            graph, n_procs, *heapq_schedule(
+                k.tolist(), graph.weights_list, graph.succ_indices,
+                graph.in_degrees, n_procs))
+        got = plan(graph, k, n_procs, d)
+        if not same_kernel(Schedule._adopt(graph, n_procs, *got), ref) \
+                or got[-1].hex() != \
+                ref.required_reference_frequency(d).hex():
+            return False
     if levels is not None:
         d = np.array([9.0, 9.0, 9.0, 9.0, 7.0])
         want_d = np.array(_alap_loop(fork_join, d.tolist()))
@@ -850,7 +801,7 @@ def _self_test(fn: Callable, plan: Optional[Callable] = None,
     return sweep is None or _sweep_self_test(sweep)
 
 
-def _load() -> Optional[Tuple[Callable, Callable, Callable, Callable]]:
+def _load() -> Optional[Tuple[Callable, Callable, Callable]]:
     if _DISABLED:
         return None
     try:
@@ -862,32 +813,11 @@ def _load() -> Optional[Tuple[Callable, Callable, Callable, Callable]]:
         return None
 
 
-_kernel, _plan, _levels, _sweep = _load() or (None, None, None, None)
+_plan, _levels, _sweep = _load() or (None, None, None)
 
-#: True when the C routines (:func:`schedule_kernel_c`,
-#: :func:`plan_schedule_c`, :func:`levels_c`, :func:`sweep_c`) dispatch
-#: to compiled code.
-CKERNEL_ACTIVE = _kernel is not None
-
-
-def schedule_kernel_c(keys: np.ndarray, w: np.ndarray,
-                      succ_flat: np.ndarray, succ_offsets: np.ndarray,
-                      in_degrees: np.ndarray, n_processors: int
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the C event loop; only callable when :data:`CKERNEL_ACTIVE`.
-
-    Returns the same ``(start, finish, processor)`` arrays, bit for
-    bit, as :func:`repro.sched.eventloop.heapq_schedule` on the same
-    inputs.
-    """
-    if _kernel is None:  # pragma: no cover - guarded by callers
-        raise RuntimeError("C scheduler kernel is not available")
-    return _kernel(np.ascontiguousarray(keys, dtype=np.float64),
-                   np.ascontiguousarray(w, dtype=np.float64),
-                   np.ascontiguousarray(succ_flat, dtype=np.intp),
-                   np.ascontiguousarray(succ_offsets, dtype=np.intp),
-                   np.ascontiguousarray(in_degrees, dtype=np.intp),
-                   n_processors)
+#: True when the C routines (:func:`plan_schedule_c`, :func:`levels_c`,
+#: :func:`sweep_c`) dispatch to compiled code.
+CKERNEL_ACTIVE = _plan is not None
 
 
 def plan_schedule_c(graph: TaskGraph, keys: np.ndarray, n_processors: int,

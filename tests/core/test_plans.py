@@ -16,7 +16,11 @@ serves.
 
 import hashlib
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,12 +28,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit.report import AuditLog, AuditViolationError
-from repro.core import evaluate_all, lamps_search, paper_suite
+from repro.core import evaluate_all, lamps_search, paper_suite, \
+    paper_suite_batch
 from repro.core.lamps import energy_vs_processors
 from repro.core.plans import PlanCache, PlannedSweep, sweep_energies
 from repro.core.platform import default_platform
 from repro.core.energy import schedule_energy
 from repro.core.stretch import feasible_points, required_frequency
+from repro.exec.cache import summarize_results
+from repro.graphs.dag import TaskGraph
 from repro.graphs.analysis import critical_path_length
 from repro.graphs.generators import stg_random_graph
 from repro.obs import ObsLog
@@ -322,6 +329,154 @@ class TestStrictSharesTheCache:
             plans.schedule(g, 32, d, log=log)
         assert [v.kind for v in log.violations] == ["aliasing"]
         assert "start_times" in log.violations[0].message
+
+
+class TestOrderKeyedSharing:
+    """Schedules are keyed by key order, so deadlines share them."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_served_schedule_equals_fresh_build(self, data):
+        """Whatever a warm cache serves is what a fresh build gives.
+
+        The deadline pool has values that only float64 tells apart, so
+        a fingerprint coarser than the exact key order would serve one
+        vector's schedule for a differently ordered one.
+        """
+        n = data.draw(st.integers(min_value=1, max_value=8))
+        weights = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]),
+                                     min_size=n, max_size=n))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                   max_size=n)) if pairs else []
+        g = TaskGraph(dict(enumerate(weights)), edges)
+        pool = st.sampled_from([0.5, 1.0, 1.0 + 2.0 ** -40, 2.0, np.inf])
+        plans = PlanCache()
+        for _ in range(3):
+            d = np.array(data.draw(st.lists(pool, min_size=n, max_size=n)))
+            for procs in (1, 2, n + 1):
+                served = plans.schedule(g, procs, d)
+                fresh = list_schedule(g, procs, d)
+                assert served.start_times.tobytes() == \
+                    fresh.start_times.tobytes()
+                assert served.task_processors.tobytes() == \
+                    fresh.task_processors.tobytes()
+
+    def test_scaled_deadlines_share_one_build(self):
+        g, deadline = _instance(n=30, seed=2)
+        d = task_deadlines(g, deadline)
+        plans = PlanCache()
+        built = plans.schedule(g, 3, d)
+        assert plans.schedule(g, 3, d * 2.0) is built  # same order
+        assert plans.misses == 1 and plans.hits == 1
+        reversed_keys = -d  # every strict pair swaps
+        assert plans.schedule(g, 3, reversed_keys) is not built
+        assert plans.misses == 2
+
+    def test_every_cross_key_serve_is_verified(self):
+        """One bytewise check per serve built from other keys."""
+        g, deadline = _instance(n=20, seed=1)
+        d = task_deadlines(g, deadline)
+        d2 = d * 2.0  # same order, other bytes
+        plans = PlanCache()
+        log = AuditLog(strict=True)
+        ratio_checks = int(ckernel.CKERNEL_ACTIVE)
+        plans.schedule(g, 1, d, log=log)
+        checks = 1 + ratio_checks
+        assert log.invariant_checks_passed == checks
+        plans.schedule(g, 1, d, log=log)  # its own keys: no check
+        assert log.invariant_checks_passed == checks
+        for _ in range(2):
+            plans.schedule(g, 1, d2, log=log)  # cross-key serve
+            checks += 1
+            assert log.invariant_checks_passed == checks
+        # A width alias served for other keys: still one check.  (One
+        # processor always stalls, so nothing aliased before.)
+        base = plans.schedule(g, g.n, d, log=log)
+        checks += 1 + ratio_checks
+        assert base.employed_processors < g.n
+        plans.schedule(g, g.n + 5, d2, log=log)
+        checks += 1
+        assert log.invariant_checks_passed == checks
+        assert log.schedules_built == plans.misses == 2
+        assert plans.hits == 4
+        assert not log.violations
+
+    def test_cross_key_mismatch_is_a_violation(self, monkeypatch):
+        """A served schedule that differs from the request's own build
+        is caught even when the processor count matches."""
+        g, deadline = _instance(n=20, seed=1)
+        d = task_deadlines(g, deadline)
+        d2 = d * 2.0
+
+        def corrupted(graph, n, deadlines, **kwargs):
+            s = list_schedule(graph, n, deadlines, **kwargs)
+            if deadlines is not d2:
+                return s
+            starts = s.start_times.copy()
+            starts[-1] += 1.0
+            return Schedule.from_arrays(graph, n, starts,
+                                        s.finish_times.copy(),
+                                        s.task_processors.copy())
+
+        monkeypatch.setattr(plans_mod, "list_schedule", corrupted)
+        plans = PlanCache()
+        plans.schedule(g, 3, d)
+        log = AuditLog(strict=True)
+        with pytest.raises(AuditViolationError, match=r"^\[aliasing\]"):
+            plans.schedule(g, 3, d2, log=log)
+        assert "start_times" in log.violations[0].message
+
+
+def _chunk_and_singles(strict=False):
+    """One graph at four factors and an explicit deadline, as one chunk
+    and as one-instance calls: summary JSON of both, and the builds."""
+    g = stg_random_graph(60, 7).scaled(3.1e6)
+    cpl = critical_path_length(g)
+    instances = [(g, f * cpl) for f in (1.5, 2.0, 4.0, 8.0)]
+    instances.append((g, 3.3 * cpl + 12345.0))
+    chunk_obs, single_obs = ObsLog(), ObsLog()
+    chunk = paper_suite_batch(instances, strict=strict, obs=chunk_obs)
+    singles = [paper_suite(gi, di, strict=strict, obs=single_obs)
+               for gi, di in instances]
+
+    def dump(results):
+        return json.dumps([summarize_results(r) for r in results],
+                          sort_keys=True)
+
+    return (dump(chunk), dump(singles),
+            chunk_obs.counters["sched.schedules_built"],
+            single_obs.counters["sched.schedules_built"])
+
+
+class TestChunkSharesAcrossDeadlines:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_chunk_matches_one_instance_calls(self, strict):
+        chunk, singles, chunk_builds, single_builds = \
+            _chunk_and_singles(strict)
+        assert chunk == singles
+        assert chunk_builds < single_builds  # the deadlines shared
+
+    def test_heapq_backend_gives_the_same_bytes(self):
+        """The same chunk under ``REPRO_NO_CKERNEL=1``: the gate is read
+        at import, so it runs in a fresh interpreter."""
+        root = pathlib.Path(__file__).resolve().parents[2]
+        env = dict(os.environ, REPRO_NO_CKERNEL="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), str(root),
+                        env.get("PYTHONPATH")) if p)
+        code = ("import json\n"
+                "from repro.sched.ckernel import CKERNEL_ACTIVE\n"
+                "from tests.core.test_plans import _chunk_and_singles\n"
+                "assert not CKERNEL_ACTIVE\n"
+                "print(json.dumps(_chunk_and_singles()))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             cwd=root, capture_output=True, text=True,
+                             timeout=300, check=True)
+        heapq_run = json.loads(out.stdout.strip().splitlines()[-1])
+        assert heapq_run[0] == heapq_run[1]
+        assert heapq_run[2] < heapq_run[3]
+        assert heapq_run[0] == _chunk_and_singles()[0]
 
 
 class TestSweepEnergies:

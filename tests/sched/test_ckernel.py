@@ -46,23 +46,23 @@ needs_ckernel = pytest.mark.skipif(
     reason="C scheduler kernel unavailable (no compiler?)")
 
 
-def _kernel_inputs_from_keys(graph, keys):
-    succ_flat, succ_offsets = graph.succ_csr
-    return (np.ascontiguousarray(keys, dtype=np.float64),
-            np.ascontiguousarray(graph.weights_array, dtype=np.float64),
-            succ_flat, succ_offsets,
-            np.asarray(graph.in_degrees, dtype=np.intp))
-
-
-def _kernel_inputs(graph, deadlines, policy="edf"):
-    return _kernel_inputs_from_keys(
-        graph, priority_keys(graph, deadlines, policy))
-
-
 def _heapq_arrays(graph, n_procs, deadlines, policy="edf"):
     return heapq_schedule(priority_keys(graph, deadlines, policy).tolist(),
                           graph.weights_list, graph.succ_indices,
                           graph.in_degrees, n_procs)
+
+
+def _plan_arrays(graph, n_procs, deadlines, policy="edf"):
+    """The fused call's ``(start, finish, processor)`` arrays."""
+    out = ckernel.plan_schedule_c(
+        graph, priority_keys(graph, deadlines, policy), n_procs, deadlines)
+    return out[0], out[1], out[2]
+
+
+def _assert_same_bytes(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 @st.composite
@@ -82,36 +82,29 @@ class TestCKernelMatchesPython:
     @settings(max_examples=60, deadline=None)
     def test_identical_arrays(self, inst):
         g, n_procs, d = inst
-        keys, w, flat, offs, deg = _kernel_inputs(g, d)
-        cs, cf, cp = ckernel.schedule_kernel_c(
-            keys, w, flat, offs, deg, n_procs)
-        ps, pf, pp = _heapq_arrays(g, n_procs, d)
-        assert np.array_equal(cs, ps)
-        assert np.array_equal(cf, pf)
-        assert np.array_equal(cp, pp)
+        _assert_same_bytes(_plan_arrays(g, n_procs, d),
+                           _heapq_arrays(g, n_procs, d))
 
     @given(instances(), st.sampled_from(["edf", "hlfet", "fifo"]))
     @settings(max_examples=30, deadline=None)
     def test_identical_across_policies(self, inst, policy):
         g, n_procs, d = inst
-        keys, w, flat, offs, deg = _kernel_inputs(g, d, policy)
-        cs, cf, cp = ckernel.schedule_kernel_c(
-            keys, w, flat, offs, deg, n_procs)
-        ps, pf, pp = _heapq_arrays(g, n_procs, d, policy)
-        assert np.array_equal(cs, ps)
-        assert np.array_equal(cf, pf)
-        assert np.array_equal(cp, pp)
+        _assert_same_bytes(_plan_arrays(g, n_procs, d, policy),
+                           _heapq_arrays(g, n_procs, d, policy))
 
     def test_does_not_mutate_inputs(self):
         """The C signature takes const inputs; in_degrees especially
         must survive (the kernel decrements its own copy)."""
         g = stg_random_graph(30, 5).scaled(3.1e6)
         d = task_deadlines(g, 2.0 * critical_path_length(g))
-        keys, w, flat, offs, deg = _kernel_inputs(g, d)
-        snapshots = [a.copy() for a in (keys, w, flat, offs, deg)]
-        ckernel.schedule_kernel_c(keys, w, flat, offs, deg, 4)
-        for a, snap in zip((keys, w, flat, offs, deg), snapshots):
-            assert np.array_equal(a, snap)
+        keys = priority_keys(g, d)
+        flat, offs = g.succ_csr
+        binding = g.binding(ckernel._bind)
+        inputs = (keys, d, g.weights_array, flat, offs, *binding.owned)
+        snapshots = [a.copy() for a in inputs]
+        ckernel.plan_schedule_c(g, keys, 4, d)
+        for a, snap in zip(inputs, snapshots):
+            assert a.tobytes() == snap.tobytes()
 
 
 @needs_ckernel
@@ -140,21 +133,18 @@ class TestGate:
         if os.environ.get("REPRO_NO_CKERNEL"):
             assert not ckernel.CKERNEL_ACTIVE
         if ckernel._DISABLED:
-            assert ckernel._kernel is None
+            assert ckernel._plan is None
 
     def test_inactive_kernel_raises_cleanly(self, monkeypatch):
-        monkeypatch.setattr(ckernel, "_kernel", None)
+        monkeypatch.setattr(ckernel, "_plan", None)
         with pytest.raises(RuntimeError):
-            ckernel.schedule_kernel_c(
-                np.zeros(1), np.ones(1),
-                np.empty(0, dtype=np.intp),
-                np.zeros(2, dtype=np.intp),
-                np.zeros(1, dtype=np.intp), 1)
+            ckernel.plan_schedule_c(TaskGraph({"only": 1.0}),
+                                    np.zeros(1), 1)
 
     def test_self_test_passes_on_loaded_kernel(self):
-        if ckernel._kernel is None:
+        if ckernel._plan is None:
             pytest.skip("kernel not loaded")
-        assert ckernel._self_test(ckernel._kernel)
+        assert ckernel._self_test(ckernel._plan)
 
     def test_disabled_subprocess_never_activates(self):
         """A fresh interpreter under REPRO_NO_CKERNEL stays on Python."""
@@ -272,12 +262,10 @@ class TestKernelEdges:
         assert same_kernel(fused, _reference_schedule(g, keys, n_procs))
         # The work keeps every processor busy at once at t = 0.
         assert fused.employed_processors == min(n_procs, 130)
-        arrays = ckernel.schedule_kernel_c(*_kernel_inputs_from_keys(g, keys),
-                                           n_procs)
         want = heapq_schedule(keys.tolist(), g.weights_list,
                               g.succ_indices, g.in_degrees, n_procs)
-        for got, ref in zip(arrays, want):
-            assert got.tobytes() == ref.tobytes()
+        _assert_same_bytes((fused.start_times, fused.finish_times,
+                            fused.task_processors), want)
 
     @given(small_dags(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -406,8 +394,8 @@ class TestLevelsMatchReference:
         assert str(native.value) == str(python.value)
 
     def test_self_test_covers_every_routine(self):
-        assert ckernel._self_test(ckernel._kernel, ckernel._plan,
-                                  ckernel._levels, ckernel._sweep)
+        assert ckernel._self_test(ckernel._plan, ckernel._levels,
+                                  ckernel._sweep)
 
 
 # ----------------------------------------------------------------------
