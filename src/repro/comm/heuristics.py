@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-from ..core.plans import PlannedSweep, sweep_energies
+from ..core.batch import PlannedSweep
+from ..core.plans import sweep_energies
 from ..core.platform import Platform, default_platform
 from ..core.results import Heuristic, InfeasibleScheduleError, \
     ScheduleResult
@@ -74,7 +75,8 @@ def comm_lamps(cgraph: CommGraph, deadline: float, *,
             points = feasible_points(platform.ladder, f_req)
             if sleep is None:
                 points = points[:1]  # plain LAMPS stretches maximally
-            sweeps.append(PlannedSweep(s, tuple(points), sleep))
+            sweeps.append(PlannedSweep(s, tuple(points), deadline_seconds,
+                                       sleep))
         if s.makespan >= prev_makespan - 1e-9:
             stall += 1
             if stall >= 3:  # non-monotone: require a plateau, not a blip
@@ -85,8 +87,7 @@ def comm_lamps(cgraph: CommGraph, deadline: float, *,
     # Replay the (n, point) order with a strict ``<``: ties keep the
     # first candidate.
     best = None
-    for ps, energies in zip(sweeps, sweep_energies(sweeps,
-                                                   deadline_seconds)):
+    for ps, energies in zip(sweeps, sweep_energies(sweeps)):
         for e, point in zip(energies, ps.points):
             if best is None or e.total < best[0].total:
                 best = (e, point, ps.schedule)

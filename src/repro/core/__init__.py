@@ -3,14 +3,14 @@ the :func:`schedule` facade.
 """
 
 from .api import deadline_from_factor, evaluate_all, schedule
-from .batch import ScheduleBatch, SweepRequest, batch_energy_sweep
+from .batch import PlannedSweep, ScheduleBatch, batch_energy_sweep
 from .energy import EnergyBreakdown, schedule_energy, schedule_energy_sweep
 from .exhaustive import enumerate_schedules, optimal_single_frequency
 from .lamps import energy_vs_processors, lamps, lamps_ps, lamps_search
 from .limits import limit_mf, limit_sf
 from .multifreq import MultiFreqResult, per_processor_stretch
 from .pareto import FrontPoint, energy_deadline_front, knee_point
-from .plans import PlanCache, PlannedSweep, sweep_energies
+from .plans import PlanCache, sweep_energies
 from .platform import Platform, default_platform
 from .results import Heuristic, InfeasibleScheduleError, ScheduleResult
 from .sns import schedule_and_stretch, sns, sns_ps
@@ -27,7 +27,6 @@ __all__ = [
     "schedule_energy",
     "schedule_energy_sweep",
     "ScheduleBatch",
-    "SweepRequest",
     "batch_energy_sweep",
     "PlanCache",
     "PlannedSweep",

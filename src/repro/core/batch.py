@@ -6,25 +6,29 @@ schedule a campaign chunk builds — in CSR form: one row per
 employed-processor slot, and one concatenated internal-gap array.
 :func:`batch_energy_sweep` evaluates a whole list of ladder sweeps
 against it in one call of the native sweep
-(:func:`repro.sched.ckernel.sweep_c`).  The campaign runner
+(:func:`repro.sched.ckernel.sweep_c`).  A :class:`PlannedSweep` — a
+schedule, its ladder points, its window and its sleep model — is the
+one request type: the searches emit them, and the evaluator writes the
+native tables straight from them.  The campaign runner
 (:func:`repro.exec.runner.evaluate_suite_instances`) plans a chunk of
 instances, collects every ladder sweep the searches would perform, and
-evaluates them all here; :func:`~repro.core.plans.sweep_energies` does
-the same for one search, and
+evaluates them all through one
+:func:`~repro.core.plans.sweep_energies` call, which stacks their
+distinct schedules into a batch; one search does the same, and
 :func:`~repro.core.energy.schedule_energy_sweep` is the one-schedule
 entry.
 
 Exactness contract (see DESIGN.md, "Why the native sweep is exact"):
-for every request, the returned breakdowns are *bitwise* equal to the
+for every sweep, the returned breakdowns are *bitwise* equal to the
 scalar :func:`~repro.core.energy.schedule_energy` loop over the
-request's points, including the exception that loop raises first.
+sweep's points, including the exception that loop raises first.
 The native routine repeats the scalar loop's operations in the same
 order (no contraction into FMAs), and its gap sums are a port of
 numpy's pairwise summation.  Without the C kernel
 (``REPRO_NO_CKERNEL``, or no compiler) the scalar loop itself runs.
-Requests whose sleep model is a :class:`~repro.power.shutdown.SleepModel`
+Sweeps whose sleep model is a :class:`~repro.power.shutdown.SleepModel`
 subclass also take the scalar loop, since the native routine
-hard-codes the base class's shutdown rule.  A native request's row is
+hard-codes the base class's shutdown rule.  A native sweep's row is
 a :class:`SweepRows`: it builds each breakdown on first access, and a
 search's selection reads only its totals until it picks a winner.
 """
@@ -45,23 +49,27 @@ from ..sched.schedule import Schedule
 from .energy import EnergyBreakdown, _horizon_error, _makespan_error, \
     _reference_sweep
 
-__all__ = ["ScheduleBatch", "SweepRequest", "SweepRows",
+__all__ = ["PlannedSweep", "ScheduleBatch", "SweepRows",
            "batch_energy_sweep"]
 
 
-@dataclass(frozen=True)
-class SweepRequest:
-    """One deferred ladder sweep against a batch member.
+@dataclass
+class PlannedSweep:
+    """One deferred ladder sweep a search plan wants evaluated.
+
+    Its breakdowns are ``[schedule_energy(schedule, p, deadline_seconds,
+    sleep=sleep) for p in points]``, one per point.
 
     Attributes:
-        schedule_index: which :class:`ScheduleBatch` member to evaluate.
+        schedule: the schedule to evaluate; in a batch, the member
+            that *is* this object.
         points: operating points, evaluated in order (may be empty).
         deadline_seconds: the on-window, as in
             :func:`~repro.core.energy.schedule_energy`.
         sleep: PS gap rule; ``None`` keeps idle gaps on.
     """
 
-    schedule_index: int
+    schedule: Schedule
     points: Tuple[OperatingPoint, ...]
     deadline_seconds: float
     sleep: Optional[SleepModel] = None
@@ -174,7 +182,7 @@ class ScheduleBatch:
 
 
 class _Lanes:
-    """The output of one native sweep call, shared by its requests' rows.
+    """The output of one native sweep call, shared by its sweeps' rows.
 
     ``totals`` holds every lane's :attr:`EnergyBreakdown.total`, with
     that property's additions in its order (numpy float64 addition is
@@ -201,7 +209,7 @@ class _Lanes:
 
 
 class SweepRows(Sequence[EnergyBreakdown]):
-    """One request's breakdowns from the native sweep, built on access.
+    """One sweep's breakdowns from the native sweep, built on access.
 
     A read-only sequence equal (``==``) to the list the scalar loop
     returns.  A search reads every lane's total but builds only the
@@ -261,44 +269,46 @@ def _is_native(sleep: Optional[SleepModel]) -> bool:
 
 def batch_energy_sweep(
         batch: ScheduleBatch,
-        requests: Sequence[SweepRequest],
+        sweeps: Sequence[PlannedSweep],
 ) -> List[Sequence[EnergyBreakdown]]:
     """Evaluate many ladder sweeps against a batch in one native call.
 
-    Returns one sequence per request (a :class:`SweepRows` on the
-    native path, a list otherwise), bitwise equal to
-    ``[schedule_energy(batch.schedules[r.schedule_index], p,
-    r.deadline_seconds, sleep=r.sleep) for p in r.points]`` — including
-    the exception that scalar loop would raise, with the same message,
-    for the first offending (request, point) in request order.
+    Each sweep is evaluated against the batch member that is its
+    schedule (by identity).  Returns one sequence per sweep (a
+    :class:`SweepRows` on the native path, a list otherwise), bitwise
+    equal to ``[schedule_energy(s.schedule, p, s.deadline_seconds,
+    sleep=s.sleep) for p in s.points]`` — including the exception that
+    scalar loop would raise, with the same message, for the first
+    offending (sweep, point) in sweep order.
 
     Args:
         batch: the stacked schedules.
-        requests: sweeps to evaluate; requests may repeat a schedule
-            index, mix sleep models, and carry empty point tuples
-            (which yield empty result lists).
+        sweeps: sweeps to evaluate; sweeps may repeat a schedule, mix
+            sleep models, and carry empty point tuples (which yield
+            empty result lists).
 
     Raises:
-        ValueError: if some request's schedule does not fit in its
-            window at some requested point.
-        IndexError: on a schedule index outside the batch.
+        ValueError: if some sweep's schedule does not fit in its window
+            at some requested point.
+        LookupError: on a sweep whose schedule is not a batch member.
     """
-    requests = list(requests)
-    for r in requests:
-        if not 0 <= r.schedule_index < batch.size:
-            raise IndexError(
-                f"schedule index {r.schedule_index} outside batch of "
-                f"{batch.size}")
+    sweeps = list(sweeps)
+    index = {id(s): i for i, s in enumerate(batch.schedules)}
+    members = [index.get(id(r.schedule), -1) for r in sweeps]
+    if -1 in members:
+        raise LookupError(
+            f"sweep {members.index(-1)}'s schedule is not a member of "
+            f"the batch")
     if not CKERNEL_ACTIVE:
-        return _reference_sweep(batch.schedules, requests)
+        return _reference_sweep(sweeps)
     req: List[int] = []
     reqf: List[float] = []
     pts: List[float] = []
-    for r in requests:
+    for r, m in zip(sweeps, members):
         # A custom model's lanes run as no-sleep lanes, which checks
         # their windows in order; the scalar loop replaces their rows.
         sleep = r.sleep if _is_native(r.sleep) else None
-        req += (r.schedule_index, len(r.points), sleep is not None)
+        req += (m, len(r.points), sleep is not None)
         reqf += (r.deadline_seconds, 0.0, 0.0) if sleep is None else \
             (r.deadline_seconds, sleep.sleep_power, sleep.overhead_energy)
         for p in r.points:
@@ -309,34 +319,33 @@ def batch_energy_sweep(
         batch.member_offsets, batch.makespans, batch.proc_busy,
         batch.proc_last, batch.gap_offsets, batch.gap_flat)
     if bad is not None:
-        _raise_bad_lane(batch, requests, *bad)
+        _raise_bad_lane(batch, sweeps, *bad)
     lanes = _Lanes(out, shut)
     results: List[Sequence[EnergyBreakdown]] = []
     lane = 0
-    for r in requests:
+    for r in sweeps:
         end = lane + len(r.points)
         results.append(SweepRows(lanes, lane, end) if _is_native(r.sleep)
-                       else _reference_sweep(batch.schedules, [r])[0])
+                       else _reference_sweep([r])[0])
         lane = end
     return results
 
 
-def _raise_bad_lane(batch: ScheduleBatch, requests: List[SweepRequest],
+def _raise_bad_lane(batch: ScheduleBatch, sweeps: List[PlannedSweep],
                     lane: int, slot: int) -> None:
     """Raise the scalar loop's error for the native sweep's first bad lane.
 
-    Lanes run in request-major order, and within a lane the makespan
+    Lanes run in sweep-major order, and within a lane the makespan
     guard comes before the employed slots in id order, exactly as
     :func:`~repro.core.energy.schedule_energy` checks them.
     """
-    for r in requests:
+    for r in sweeps:
         if lane < len(r.points):
             break
         lane -= len(r.points)
     f = r.points[lane].frequency
     horizon = r.deadline_seconds * f
     if slot < 0:
-        raise _makespan_error(float(batch.makespans[r.schedule_index]),
-                              horizon, f)
+        raise _makespan_error(float(r.schedule.makespan), horizon, f)
     raise _horizon_error(horizon, int(batch.employed_ids[slot]),
                          float(batch.proc_last[slot]))

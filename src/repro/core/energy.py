@@ -156,19 +156,18 @@ def schedule_energy(schedule: Schedule, point: OperatingPoint,
                            overhead=overhead, n_shutdowns=n_shutdowns)
 
 
-def _reference_sweep(schedules: Sequence[Schedule],
-                     requests: Sequence) -> List[List[EnergyBreakdown]]:
+def _reference_sweep(sweeps: Sequence) -> List[List[EnergyBreakdown]]:
     """The scalar loop :func:`repro.core.batch.batch_energy_sweep` equals.
 
-    One breakdown list per :class:`~repro.core.batch.SweepRequest`,
-    evaluated point by point with :func:`schedule_energy` against
-    ``schedules[request.schedule_index]``.  The batch evaluator runs it
-    when the C kernel is off, and for sleep models whose shutdown rule
-    the native sweep does not know.
+    One breakdown list per :class:`~repro.core.batch.PlannedSweep`,
+    evaluated point by point with :func:`schedule_energy` against the
+    sweep's schedule.  The batch evaluator runs it when the C kernel is
+    off, and for sleep models whose shutdown rule the native sweep does
+    not know.
     """
-    return [[schedule_energy(schedules[r.schedule_index], p,
-                             r.deadline_seconds, sleep=r.sleep)
-             for p in r.points] for r in requests]
+    return [[schedule_energy(r.schedule, p, r.deadline_seconds,
+                             sleep=r.sleep)
+             for p in r.points] for r in sweeps]
 
 
 def schedule_energy_sweep(
@@ -179,7 +178,7 @@ def schedule_energy_sweep(
 
     A one-schedule :func:`repro.core.batch.batch_energy_sweep`.  One
     call costs a batch's setup, so a loop over many schedules should
-    collect :class:`~repro.core.plans.PlannedSweep` entries and
+    collect :class:`~repro.core.batch.PlannedSweep` entries and
     evaluate them with one :func:`repro.core.plans.sweep_energies`
     call instead.
 
@@ -199,8 +198,8 @@ def schedule_energy_sweep(
         ValueError: if the schedule does not fit in the window at some
             requested point.
     """
-    from .batch import ScheduleBatch, SweepRequest, batch_energy_sweep
+    from .batch import PlannedSweep, ScheduleBatch, batch_energy_sweep
 
     return batch_energy_sweep(
         ScheduleBatch.from_schedules([schedule]),
-        [SweepRequest(0, tuple(points), deadline_seconds, sleep)])[0]
+        [PlannedSweep(schedule, tuple(points), deadline_seconds, sleep)])[0]

@@ -22,7 +22,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..graphs.dag import TaskGraph
 from ..sched.deadlines import task_deadlines
 from ..sched.schedule import Placement, Schedule
-from .plans import PlannedSweep, sweep_energies
+from .batch import PlannedSweep
+from .plans import sweep_energies
 from .platform import Platform, default_platform
 from .results import Heuristic, InfeasibleScheduleError, ScheduleResult
 from .stretch import feasible_points, required_frequency
@@ -152,12 +153,11 @@ def optimal_single_frequency(
             if f_req <= platform.fmax * (1.0 + 1e-9):
                 sweeps.append(PlannedSweep(
                     sched, tuple(feasible_points(platform.ladder, f_req)),
-                    sleep))
+                    deadline_seconds, sleep))
         # One batched sweep per processor count; the selection replays
         # the (schedule, point) order with a strict ``<``, so ties keep
         # the first candidate.
-        for ps, energies in zip(sweeps,
-                                sweep_energies(sweeps, deadline_seconds)):
+        for ps, energies in zip(sweeps, sweep_energies(sweeps)):
             for energy, point in zip(energies, ps.points):
                 if best is None or energy.total < best[0].total:
                     best = (energy, point, ps.schedule)

@@ -43,9 +43,9 @@ from ..power.shutdown import SleepModel
 from ..sched.list_scheduler import list_schedule
 from ..sched.priorities import PriorityPolicy
 from ..sched.schedule import Schedule
-from .batch import SweepRows
+from .batch import PlannedSweep, SweepRows
 from .energy import EnergyBreakdown
-from .plans import PlanCache, PlannedSweep, sweep_energies
+from .plans import PlanCache, sweep_energies
 from .platform import Platform, default_platform
 from .results import Heuristic, InfeasibleScheduleError, ScheduleResult
 from .stretch import feasible_points, stretch_point
@@ -302,7 +302,8 @@ def lamps_search(
 
         def plan(s: Schedule, f_req: float) -> int:
             sweeps.append(PlannedSweep(s, _candidate_points(
-                s, f_req, platform, deadline_seconds, sleep, log, o), sleep))
+                s, f_req, platform, deadline_seconds, sleep, log, o),
+                deadline_seconds, sleep))
             return len(sweeps) - 1
 
         order = [plan(s, f_req) for _, s, f_req in _walk_counts(
@@ -317,7 +318,7 @@ def lamps_search(
                                             platform.fmax, o, log))
             if f_req is not None:
                 spread = plan(s, f_req)
-        energies = sweep_energies(sweeps, deadline_seconds)
+        energies = sweep_energies(sweeps)
         energy, point, i = _best_candidate(
             energies, sweeps, order, spread=spread,
             greedy=phase2 == "greedy")
@@ -400,9 +401,10 @@ def energy_vs_processors(
             continue
         rows.append((n, len(sweeps)))
         sweeps.append(PlannedSweep(s, _candidate_points(
-            s, f_req, platform, deadline_seconds, sleep, log, o), sleep))
+            s, f_req, platform, deadline_seconds, sleep, log, o),
+            deadline_seconds, sleep))
 
-    energies = sweep_energies(sweeps, deadline_seconds)
+    energies = sweep_energies(sweeps)
     out: list[tuple[int, Optional[EnergyBreakdown]]] = []
     for n, i in rows:
         if i is None:

@@ -12,8 +12,9 @@ instance, or for a whole chunk of instances
 (:func:`~repro.core.suite.paper_suite_batch` keeps one per chunk, so
 a graph's schedules are built once for all of its deadlines) — and
 :func:`sweep_energies` evaluates every planned ladder sweep of a search
-in a single :func:`~repro.core.batch.batch_energy_sweep` call (one
-native sweep).
+(each a :class:`~repro.core.batch.PlannedSweep`, which carries its own
+window) in a single
+:func:`~repro.core.batch.batch_energy_sweep` call (one native sweep).
 
 Why plan reuse is exact (DESIGN.md §12 carries the full argument):
 
@@ -71,7 +72,6 @@ along is compared bitwise with ``required_reference_frequency``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, \
     Sequence, Tuple, Union
 
@@ -83,73 +83,41 @@ from ..audit.report import AuditLog
 from ..graphs.analysis import top_levels as _graph_top_levels
 from ..graphs.dag import TaskGraph
 from ..obs import ObsLog, live
-from ..power.dvs import OperatingPoint
-from ..power.shutdown import SleepModel
 from ..sched.deadlines import task_deadlines
 from ..sched.list_scheduler import list_schedule
 from ..sched.priorities import PriorityPolicy, priority_keys
 from ..sched.schedule import Schedule
-from .batch import ScheduleBatch, SweepRequest, batch_energy_sweep
+from .batch import PlannedSweep, ScheduleBatch, batch_energy_sweep
 from .energy import EnergyBreakdown
 
-__all__ = ["PlanCache", "PlannedSweep", "sweep_energies"]
+__all__ = ["PlanCache", "sweep_energies"]
 
 #: Signature of a schedule builder (``list_schedule`` or a test double).
 ScheduleBuilder = Callable[..., Schedule]
 
 
-@dataclass
-class PlannedSweep:
-    """One deferred ladder sweep a search plan wants evaluated.
-
-    :func:`sweep_energies` turns a list of these into the breakdown
-    lists the search's finish step consumes: one breakdown per point,
-    as ``schedule_energy(schedule, p, deadline_seconds, sleep=sleep)``
-    would compute it.
-    """
-
-    schedule: Schedule
-    points: Tuple[OperatingPoint, ...]
-    sleep: Optional[SleepModel]
-
-
-def sweep_energies(sweeps: Sequence[PlannedSweep],
-                   deadline_seconds: Union[float, Sequence[float]]
+def sweep_energies(sweeps: Sequence[PlannedSweep]
                    ) -> List[Sequence[EnergyBreakdown]]:
     """Evaluate planned ladder sweeps in one batched sweep.
 
     Stacks the distinct schedules of ``sweeps`` into one
-    :class:`~repro.core.batch.ScheduleBatch` and evaluates every sweep
-    through a single :func:`~repro.core.batch.batch_energy_sweep` call.
-    ``deadline_seconds`` is one window shared by every sweep (one
-    search), or one window per sweep (a chunk of instances).
-    Bitwise-identical to ``[[schedule_energy(s.schedule, p, window,
-    sleep=s.sleep) for p in s.points] for s in sweeps]`` — including
-    exceptions, which the batch kernel raises for the first offending
-    (sweep, point) in order, i.e. exactly where that scalar loop would
-    have raised first.  Loops that sweep one schedule at a time should
-    collect their sweeps and make one call here: a batch's setup costs
-    more than a short ladder's evaluation.
+    :class:`~repro.core.batch.ScheduleBatch` and evaluates every sweep,
+    each in its own window, through a single
+    :func:`~repro.core.batch.batch_energy_sweep` call.
+    Bitwise-identical to ``[[schedule_energy(s.schedule, p,
+    s.deadline_seconds, sleep=s.sleep) for p in s.points] for s in
+    sweeps]`` — including exceptions, which the batch kernel raises for
+    the first offending (sweep, point) in order, i.e. exactly where that
+    scalar loop would have raised first.  Loops that sweep one schedule
+    at a time should collect their sweeps and make one call here: a
+    batch's setup costs more than a short ladder's evaluation.
     """
     sweeps = list(sweeps)
     if not sweeps:
         return []
-    windows = (list(deadline_seconds)
-               if isinstance(deadline_seconds, Sequence)
-               else [deadline_seconds] * len(sweeps))
-    schedules: List[Schedule] = []
-    index: Dict[int, int] = {}
-    requests: List[SweepRequest] = []
-    for ps, window in zip(sweeps, windows):
-        key = id(ps.schedule)
-        if key not in index:
-            index[key] = len(schedules)
-            schedules.append(ps.schedule)
-        requests.append(SweepRequest(
-            schedule_index=index[key], points=tuple(ps.points),
-            deadline_seconds=window, sleep=ps.sleep))
-    return batch_energy_sweep(ScheduleBatch.from_schedules(schedules),
-                              requests)
+    schedules = {id(ps.schedule): ps.schedule for ps in sweeps}
+    return batch_energy_sweep(
+        ScheduleBatch.from_schedules(list(schedules.values())), sweeps)
 
 
 class PlanCache:

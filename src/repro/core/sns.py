@@ -23,8 +23,9 @@ from ..graphs.dag import TaskGraph
 from ..obs import ObsLog, live
 from ..sched.list_scheduler import list_schedule
 from ..sched.priorities import PriorityPolicy
+from .batch import PlannedSweep
 from .lamps import _best_candidate, _candidate_points
-from .plans import PlanCache, PlannedSweep, sweep_energies
+from .plans import PlanCache, sweep_energies
 from .platform import Platform, default_platform
 from .results import Heuristic, ScheduleResult
 
@@ -94,9 +95,10 @@ def schedule_and_stretch(
         f_req = plans.ratio(sched, d) * platform.fmax
         deadline_seconds = platform.seconds(deadline_cycles)
         sweep = PlannedSweep(sched, _candidate_points(
-            sched, f_req, platform, deadline_seconds, sleep, log, o), sleep)
+            sched, f_req, platform, deadline_seconds, sleep, log, o),
+            deadline_seconds, sleep)
         energy, point, _ = _best_candidate(
-            sweep_energies([sweep], deadline_seconds), [sweep], [0])
+            sweep_energies([sweep]), [sweep], [0])
 
     result = ScheduleResult(
         heuristic=Heuristic.SNS_PS if shutdown else Heuristic.SNS,

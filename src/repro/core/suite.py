@@ -42,11 +42,12 @@ from ..power.shutdown import SleepModel
 from ..sched.list_scheduler import list_schedule
 from ..sched.priorities import PriorityPolicy
 from ..sched.schedule import Schedule
+from .batch import PlannedSweep
 from .energy import EnergyBreakdown
 from .lamps import _best_candidate, _candidate_points, _min_count, \
     _walk_counts
 from .limits import limit_mf, limit_sf
-from .plans import PlanCache, PlannedSweep, sweep_energies
+from .plans import PlanCache, sweep_energies
 from .platform import Platform, default_platform
 from .results import Heuristic, ScheduleResult
 
@@ -150,7 +151,7 @@ def _plan_suite(
     def add(s: Schedule, f_req: float, sleep: Optional[SleepModel]) -> int:
         plan.sweeps.append(PlannedSweep(s, _candidate_points(
             s, f_req, platform, plan.deadline_seconds, sleep, log, o),
-            sleep))
+            plan.deadline_seconds, sleep))
         return len(plan.sweeps) - 1
 
     # ---- S&S family: one schedule on |V| processors ----------------------
@@ -328,10 +329,7 @@ def paper_suite_batch(
         with o.span("suite.sweep", category="suite", instances=len(plans)):
             try:
                 energies: Optional[List[Sequence[EnergyBreakdown]]] = \
-                    sweep_energies(
-                        [ps for p in plans for ps in p.sweeps],
-                        [p.deadline_seconds for p in plans
-                         for _ in p.sweeps])
+                    sweep_energies([ps for p in plans for ps in p.sweeps])
             except ValueError:
                 # Exceptions must surface with per-instance attribution,
                 # so re-run one sweep per instance below; the first
@@ -346,8 +344,7 @@ def paper_suite_batch(
                 with o.span("suite.finish", category="suite",
                             graph=plan.graph.name):
                     if energies is None:
-                        per_plan = sweep_energies(plan.sweeps,
-                                                  plan.deadline_seconds)
+                        per_plan = sweep_energies(plan.sweeps)
                     else:
                         per_plan = energies[cursor:cursor + k]
                         if plan.log is not None:

@@ -16,7 +16,9 @@ framework, no new dependencies — in front of three endpoints:
   (:func:`repro.obs.metrics.render_prometheus`): since-boot counters,
   cumulative-``le`` latency histograms, point-in-time gauges
   (in-flight requests, batcher queue depth, cache entries/bytes,
-  retained spans) and sliding-window rate/quantile gauges.
+  retained spans, and ``sched.ckernel_active``: 1 when the C kernel
+  runs, 0 on the Python references) and sliding-window rate/quantile
+  gauges.
 * ``GET /healthz`` — readiness probe: 200 with per-check detail when
   the service can actually serve (cache directory writable, batcher
   dispatch loop alive), 503 with a reason otherwise.
@@ -48,6 +50,7 @@ from ..core.results import InfeasibleScheduleError
 from ..exec.runner import ExecOptions
 from ..obs import ObsLog, WindowAggregator, render_prometheus
 from ..obs.log import SpanRecord
+from ..sched.ckernel import CKERNEL_ACTIVE
 from ..sched.deadlines import InfeasibleDeadlineError
 from .admission import AdmissionController
 from .batcher import ScheduleBatcher
@@ -381,6 +384,7 @@ class ScheduleServer:
             "serve.inflight_requests": self.admission.pending,
             "serve.queue_depth": self.batcher.queue_depth,
             "obs.spans_retained": len(self.obs.spans),
+            "sched.ckernel_active": float(CKERNEL_ACTIVE),
         }
         extra_counters: Dict[str, int] = {
             "serve.admitted": self.admission.admitted,

@@ -1,15 +1,18 @@
 """Differential tests: the cross-instance batched sweep vs the scalar loop.
 
-:func:`repro.core.batch.batch_energy_sweep` claims that every request's
+:func:`repro.core.batch.batch_energy_sweep` claims that every sweep's
 breakdown list is *bitwise* equal to the scalar
-:func:`repro.core.energy.schedule_energy` loop over the request's
+:func:`repro.core.energy.schedule_energy` loop over the sweep's
 points.  That is what lets the campaign runner evaluate whole chunks at
 once while reports, caches and golden files keep their exact historical
 bytes, so it is asserted with ``==`` on every component over drawn
 batches: mixed graph sizes and processor counts (ragged padded tails),
 mixed sleep models within one batch, single-member batches, duplicate
 and empty point tuples, and the exception order of infeasible windows.
+A sweep finds its batch member by the identity of its schedule.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.batch as batch_mod
-from repro.core.batch import ScheduleBatch, SweepRequest, SweepRows, \
+from repro.core.batch import PlannedSweep, ScheduleBatch, SweepRows, \
     batch_energy_sweep
 from repro.core.energy import EnergyBreakdown, schedule_energy
 from repro.core.lamps import _best_point
@@ -48,7 +51,7 @@ def _instance(seed: int, n: int, n_procs: int, factor: float):
 
 @st.composite
 def batches(draw):
-    """A ScheduleBatch plus one sweep request per member, ragged shapes."""
+    """A ScheduleBatch plus one sweep per member, ragged shapes."""
     k = draw(st.integers(min_value=1, max_value=5))
     members = []
     for i in range(k):
@@ -59,10 +62,9 @@ def batches(draw):
         members.append(_instance(seed, n, n_procs, factor))
     assume(any(points for _, points, _ in members))
     batch = ScheduleBatch.from_schedules([s for s, _, _ in members])
-    requests = [SweepRequest(schedule_index=i, points=points,
-                             deadline_seconds=window)
-                for i, (_, points, window) in enumerate(members)]
-    return batch, requests
+    sweeps = [PlannedSweep(s, points, window)
+              for s, points, window in members]
+    return batch, sweeps
 
 
 def _bits(b):
@@ -88,35 +90,33 @@ def scalar_sweep(schedule, points, window, sleep=None):
             for p in points]
 
 
-def serial_reference(batch, requests):
-    """What the scalar loop produces, request by request.
+def serial_reference(sweeps):
+    """What the scalar loop produces, sweep by sweep.
 
-    It raises at the same first (request, point) the batch must name.
+    It raises at the same first (sweep, point) the batch must name.
     """
-    return [scalar_sweep(batch.schedules[r.schedule_index], r.points,
-                         r.deadline_seconds, sleep=r.sleep)
-            for r in requests]
+    return [scalar_sweep(r.schedule, r.points, r.deadline_seconds,
+                         sleep=r.sleep)
+            for r in sweeps]
 
 
 class TestBatchMatchesSerial:
     @given(batches())
     @settings(max_examples=30, deadline=None)
     def test_without_sleep(self, drawn):
-        batch, requests = drawn
-        got = batch_energy_sweep(batch, requests)
-        want = serial_reference(batch, requests)
+        batch, sweeps = drawn
+        got = batch_energy_sweep(batch, sweeps)
+        want = serial_reference(sweeps)
         for g_list, w_list in zip(got, want):
             assert_bitwise_equal(g_list, w_list)
 
     @given(batches())
     @settings(max_examples=30, deadline=None)
     def test_with_sleep(self, drawn):
-        batch, requests = drawn
-        requests = [SweepRequest(r.schedule_index, r.points,
-                                 r.deadline_seconds, sleep=PLATFORM.sleep)
-                    for r in requests]
-        got = batch_energy_sweep(batch, requests)
-        want = serial_reference(batch, requests)
+        batch, sweeps = drawn
+        sweeps = [replace(r, sleep=PLATFORM.sleep) for r in sweeps]
+        got = batch_energy_sweep(batch, sweeps)
+        want = serial_reference(sweeps)
         for g_list, w_list in zip(got, want):
             assert_bitwise_equal(g_list, w_list)
 
@@ -124,18 +124,16 @@ class TestBatchMatchesSerial:
     @settings(max_examples=25, deadline=None)
     def test_mixed_sleep_models_within_one_batch(self, drawn, data):
         """Lanes with different models (and None) must not interfere."""
-        batch, requests = drawn
+        batch, sweeps = drawn
         models = [None, PLATFORM.sleep,
                   SleepModel(sleep_power=data.draw(st.floats(
                       min_value=0.0, max_value=1e-3)),
                       overhead_energy=data.draw(st.floats(
                           min_value=0.0, max_value=1e-2)))]
-        requests = [SweepRequest(r.schedule_index, r.points,
-                                 r.deadline_seconds,
-                                 sleep=models[i % len(models)])
-                    for i, r in enumerate(requests)]
-        got = batch_energy_sweep(batch, requests)
-        want = serial_reference(batch, requests)
+        sweeps = [replace(r, sleep=models[i % len(models)])
+                    for i, r in enumerate(sweeps)]
+        got = batch_energy_sweep(batch, sweeps)
+        want = serial_reference(sweeps)
         for g_list, w_list in zip(got, want):
             assert_bitwise_equal(g_list, w_list)
 
@@ -143,14 +141,12 @@ class TestBatchMatchesSerial:
     @settings(max_examples=20, deadline=None)
     def test_matches_scalar_reference(self, drawn):
         """Close the chain: batched == scalar loop, point by point."""
-        batch, requests = drawn
-        requests = [SweepRequest(r.schedule_index, r.points,
-                                 r.deadline_seconds, sleep=PLATFORM.sleep)
-                    for r in requests]
-        got = batch_energy_sweep(batch, requests)
-        for r, g_list in zip(requests, got):
-            want = [schedule_energy(batch.schedules[r.schedule_index], p,
-                                    r.deadline_seconds, sleep=r.sleep)
+        batch, sweeps = drawn
+        sweeps = [replace(r, sleep=PLATFORM.sleep) for r in sweeps]
+        got = batch_energy_sweep(batch, sweeps)
+        for r, g_list in zip(sweeps, got):
+            want = [schedule_energy(r.schedule, p, r.deadline_seconds,
+                                    sleep=r.sleep)
                     for p in r.points]
             assert_bitwise_equal(g_list, want)
 
@@ -164,7 +160,7 @@ class TestBatchShapes:
         s, points, window = _instance(7, 20, 2, 2.0)
         batch = ScheduleBatch.from_schedules([s])
         got = batch_energy_sweep(
-            batch, [SweepRequest(0, points, window, sleep=PLATFORM.sleep)])
+            batch, [PlannedSweep(s, points, window, sleep=PLATFORM.sleep)])
         assert_bitwise_equal(
             got[0],
             scalar_sweep(s, points, window, sleep=PLATFORM.sleep))
@@ -177,10 +173,10 @@ class TestBatchShapes:
     def test_empty_point_tuples_yield_empty_lists(self):
         members = self._members()
         batch = ScheduleBatch.from_schedules([s for s, _, _ in members])
-        requests = [SweepRequest(0, (), members[0][2]),
-                    SweepRequest(1, members[1][1], members[1][2]),
-                    SweepRequest(2, (), members[2][2])]
-        got = batch_energy_sweep(batch, requests)
+        sweeps = [PlannedSweep(members[0][0], (), members[0][2]),
+                    PlannedSweep(*members[1]),
+                    PlannedSweep(members[2][0], (), members[2][2])]
+        got = batch_energy_sweep(batch, sweeps)
         assert got[0] == [] and got[2] == []
         assert_bitwise_equal(got[1], scalar_sweep(
             members[1][0], members[1][1], members[1][2]))
@@ -189,12 +185,12 @@ class TestBatchShapes:
         """Members may be swept repeatedly, with different windows."""
         s, points, window = _instance(7, 20, 2, 2.0)
         batch = ScheduleBatch.from_schedules([s])
-        requests = [SweepRequest(0, points, window),
-                    SweepRequest(0, points, 2.0 * window,
+        sweeps = [PlannedSweep(s, points, window),
+                    PlannedSweep(s, points, 2.0 * window,
                                  sleep=PLATFORM.sleep),
-                    SweepRequest(0, points[:1], window)]
-        got = batch_energy_sweep(batch, requests)
-        want = serial_reference(batch, requests)
+                    PlannedSweep(s, points[:1], window)]
+        got = batch_energy_sweep(batch, sweeps)
+        want = serial_reference(sweeps)
         for g_list, w_list in zip(got, want):
             assert_bitwise_equal(g_list, w_list)
 
@@ -204,10 +200,10 @@ class TestBatchShapes:
         tiny = _instance(0, 1, 8, 2.0)  # seed 0 avoids the sameprob draw
         members.insert(1, tiny)
         batch = ScheduleBatch.from_schedules([s for s, _, _ in members])
-        requests = [SweepRequest(i, points, window, sleep=PLATFORM.sleep)
-                    for i, (_, points, window) in enumerate(members)]
-        got = batch_energy_sweep(batch, requests)
-        want = serial_reference(batch, requests)
+        sweeps = [PlannedSweep(s, points, window, sleep=PLATFORM.sleep)
+                    for s, points, window in members]
+        got = batch_energy_sweep(batch, sweeps)
+        want = serial_reference(sweeps)
         for g_list, w_list in zip(got, want):
             assert_bitwise_equal(g_list, w_list)
 
@@ -216,7 +212,7 @@ class TestBatchShapes:
         p = points[0]
         batch = ScheduleBatch.from_schedules([s])
         got = batch_energy_sweep(
-            batch, [SweepRequest(0, (p, p, p), window,
+            batch, [PlannedSweep(s, (p, p, p), window,
                                  sleep=PLATFORM.sleep)])
         assert got[0][0] == got[0][1] == got[0][2]
 
@@ -239,11 +235,14 @@ class TestBatchShapes:
         with pytest.raises(ValueError, match="at least one"):
             ScheduleBatch.from_schedules([])
 
-    def test_out_of_range_index(self):
+    def test_non_member_schedule_raises(self):
+        """Members are found by identity: an equal copy is no member."""
         s, points, window = _instance(7, 20, 2, 2.0)
+        twin = _instance(7, 20, 2, 2.0)[0]
         batch = ScheduleBatch.from_schedules([s])
-        with pytest.raises(IndexError, match="outside batch"):
-            batch_energy_sweep(batch, [SweepRequest(1, points, window)])
+        with pytest.raises(LookupError, match="sweep 1's schedule is not"):
+            batch_energy_sweep(batch, [PlannedSweep(s, points, window),
+                                       PlannedSweep(twin, points, window)])
 
     def test_csr_slices_match_members(self):
         members = self._members()
@@ -280,8 +279,8 @@ class TestLazyRows:
         s, points, window = _instance(7, 20, 2, 2.0)
         got = batch_energy_sweep(
             ScheduleBatch.from_schedules([s]),
-            [SweepRequest(0, points, window, sleep=PLATFORM.sleep),
-             SweepRequest(0, points[:2], window)])
+            [PlannedSweep(s, points, window, sleep=PLATFORM.sleep),
+             PlannedSweep(s, points[:2], window)])
         want = [scalar_sweep(s, points, window, sleep=PLATFORM.sleep),
                 scalar_sweep(s, points[:2], window)]
         return got, want
@@ -297,7 +296,7 @@ class TestLazyRows:
         assert rows[-1] == ref[-1]
         with pytest.raises(IndexError):
             rows[len(ref)]
-        assert got[1] == want[1]  # the second request's own lanes
+        assert got[1] == want[1]  # the second sweep's own lanes
 
     def test_breakdowns_are_built_once(self):
         got, _ = self._rows()
@@ -318,7 +317,7 @@ class TestLazyRows:
         s, points, window = _instance(7, 20, 2, 2.0)
         p = points[-1]
         tied = batch_energy_sweep(ScheduleBatch.from_schedules([s]),
-                                  [SweepRequest(0, (p, p, p), window)])[0]
+                                  [PlannedSweep(s, (p, p, p), window)])[0]
         assert _best_point(tied) == (0, tied[0].total)
         ref = [EnergyBreakdown(1.0, 1.0), EnergyBreakdown(0.5, 0.5),
                EnergyBreakdown(0.25, 0.75), EnergyBreakdown(2.0, 0.0)]
@@ -327,53 +326,52 @@ class TestLazyRows:
 
 class TestBatchExceptionOrder:
     def test_infeasible_window_raises_like_serial(self):
-        """First offending (request, point) wins, with the same message."""
+        """First offending (sweep, point) wins, with the same message."""
         s1, points1, window1 = _instance(7, 20, 2, 2.0)
         s2, points2, _ = _instance(11, 25, 2, 1.1)
         slow = PLATFORM.ladder[0]
         bad_window = 0.5 * s2.makespan / slow.frequency
         batch = ScheduleBatch.from_schedules([s1, s2])
-        requests = [SweepRequest(0, points1, window1),
-                    SweepRequest(1, tuple(PLATFORM.ladder), bad_window)]
+        sweeps = [PlannedSweep(s1, points1, window1),
+                    PlannedSweep(s2, tuple(PLATFORM.ladder), bad_window)]
         with pytest.raises(ValueError) as serial_exc:
-            serial_reference(batch, requests)
+            serial_reference(sweeps)
         with pytest.raises(ValueError) as batch_exc:
-            batch_energy_sweep(batch, requests)
+            batch_energy_sweep(batch, sweeps)
         assert str(batch_exc.value) == str(serial_exc.value)
 
     def test_earlier_request_wins(self):
-        """Request order, not severity, decides which error surfaces."""
+        """Sweep order, not severity, decides which error surfaces."""
         s1, _, _ = _instance(7, 20, 2, 1.1)
         s2, _, _ = _instance(11, 25, 2, 1.1)
         slow = PLATFORM.ladder[0]
         batch = ScheduleBatch.from_schedules([s1, s2])
-        requests = [
-            SweepRequest(0, tuple(PLATFORM.ladder),
+        sweeps = [
+            PlannedSweep(s1, tuple(PLATFORM.ladder),
                          0.5 * s1.makespan / slow.frequency),
-            SweepRequest(1, tuple(PLATFORM.ladder),
+            PlannedSweep(s2, tuple(PLATFORM.ladder),
                          0.1 * s2.makespan / slow.frequency),
         ]
         with pytest.raises(ValueError) as serial_exc:
-            serial_reference(batch, requests)
+            serial_reference(sweeps)
         with pytest.raises(ValueError) as batch_exc:
-            batch_energy_sweep(batch, requests)
+            batch_energy_sweep(batch, sweeps)
         assert str(batch_exc.value) == str(serial_exc.value)
 
     @given(batches(), st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=20, deadline=None)
     def test_shrunk_windows_raise_identically(self, drawn, shrink):
         """Shrinking every window reproduces the serial error exactly."""
-        batch, requests = drawn
-        requests = [SweepRequest(r.schedule_index, r.points,
-                                 shrink * r.deadline_seconds)
-                    for r in requests]
+        batch, sweeps = drawn
+        sweeps = [replace(r, deadline_seconds=shrink * r.deadline_seconds)
+                    for r in sweeps]
         serial_err = batch_err = None
         try:
-            want = serial_reference(batch, requests)
+            want = serial_reference(sweeps)
         except ValueError as exc:
             serial_err = str(exc)
         try:
-            got = batch_energy_sweep(batch, requests)
+            got = batch_energy_sweep(batch, sweeps)
         except ValueError as exc:
             batch_err = str(exc)
         assert serial_err == batch_err
@@ -431,16 +429,16 @@ class TestLongGapRows:
     def test_bitwise_equal_to_scalar(self, rows, sleep):
         schedules, batch = rows
         points = tuple(PLATFORM.ladder[-4:])
-        requests = []
+        sweeps = []
         for i, s in enumerate(schedules):
             # The last finish is the horizon: no trailing gap.
-            requests += [SweepRequest(i, (p,), s.makespan / p.frequency,
+            sweeps += [PlannedSweep(s, (p,), s.makespan / p.frequency,
                                       sleep) for p in points]
             # A longer window: one trailing gap after the internal ones.
-            requests.append(SweepRequest(
-                i, points, 3.0 * s.makespan / points[0].frequency, sleep))
-        got = batch_energy_sweep(batch, requests)
-        want = serial_reference(batch, requests)
+            sweeps.append(PlannedSweep(
+                s, points, 3.0 * s.makespan / points[0].frequency, sleep))
+        got = batch_energy_sweep(batch, sweeps)
+        want = serial_reference(sweeps)
         for g_list, w_list in zip(got, want):
             assert_bitwise_equal(g_list, w_list)
         if sleep is not None:  # both sides of the shutdown rule ran
@@ -462,9 +460,8 @@ class NeverSleep(SleepModel):
         return np.zeros(np.shape(duration_seconds), dtype=bool)
 
 
-def _with_sleep(requests, sleep):
-    return [SweepRequest(r.schedule_index, r.points, r.deadline_seconds,
-                         sleep=sleep) for r in requests]
+def _with_sleep(sweeps, sleep):
+    return [replace(r, sleep=sleep) for r in sweeps]
 
 
 def _n_gaps(schedule, point, window):
@@ -479,8 +476,8 @@ class TestSleepModels:
         batch = ScheduleBatch.from_schedules([s])
         never = NeverSleep()
         got = batch_energy_sweep(batch, [
-            SweepRequest(0, points, window, sleep=never),
-            SweepRequest(0, points, window, sleep=SleepModel())])
+            PlannedSweep(s, points, window, sleep=never),
+            PlannedSweep(s, points, window, sleep=SleepModel())])
         assert_bitwise_equal(got[0], scalar_sweep(s, points, window,
                                                   sleep=never))
         assert all(b.n_shutdowns == 0 for b in got[0])
@@ -492,37 +489,37 @@ class TestSleepModels:
         s2, _, _ = _instance(11, 25, 2, 1.1)
         slow = PLATFORM.ladder[0]
         batch = ScheduleBatch.from_schedules([s1, s2])
-        requests = [SweepRequest(0, points1, window1, sleep=NeverSleep()),
-                    SweepRequest(1, tuple(PLATFORM.ladder),
+        sweeps = [PlannedSweep(s1, points1, window1, sleep=NeverSleep()),
+                    PlannedSweep(s2, tuple(PLATFORM.ladder),
                                  0.5 * s2.makespan / slow.frequency,
                                  sleep=NeverSleep())]
         with pytest.raises(ValueError) as serial_exc:
-            serial_reference(batch, requests)
+            serial_reference(sweeps)
         with pytest.raises(ValueError) as batch_exc:
-            batch_energy_sweep(batch, requests)
+            batch_energy_sweep(batch, sweeps)
         assert str(batch_exc.value) == str(serial_exc.value)
 
     @given(batches())
     @settings(max_examples=20, deadline=None)
     def test_free_sleep_shuts_every_gap(self, drawn):
         """No sleep power, no overhead: every gap is slept away."""
-        batch, requests = drawn
-        got = batch_energy_sweep(batch, _with_sleep(requests,
+        batch, sweeps = drawn
+        got = batch_energy_sweep(batch, _with_sleep(sweeps,
                                                     SleepModel(0, 0)))
-        for r, lst in zip(requests, got):
-            s = batch.schedules[r.schedule_index]
+        for r, lst in zip(sweeps, got):
             for p, b in zip(r.points, lst):
                 assert b.idle == b.sleep == b.overhead == 0.0
-                assert b.n_shutdowns == _n_gaps(s, p, r.deadline_seconds)
+                assert b.n_shutdowns == _n_gaps(r.schedule, p,
+                                                r.deadline_seconds)
 
     @given(batches())
     @settings(max_examples=20, deadline=None)
     def test_unpayable_overhead_equals_no_sleep(self, drawn):
         """An overhead nothing can repay makes PS a bitwise no-op."""
-        batch, requests = drawn
+        batch, sweeps = drawn
         got = batch_energy_sweep(batch, _with_sleep(
-            requests, SleepModel(overhead_energy=1e300)))
-        want = batch_energy_sweep(batch, requests)
+            sweeps, SleepModel(overhead_energy=1e300)))
+        want = batch_energy_sweep(batch, sweeps)
         for g_list, w_list in zip(got, want):
             assert_bitwise_equal(g_list, w_list)
 
@@ -532,16 +529,14 @@ class TestScalarFallback:
     @settings(max_examples=10, deadline=None)
     def test_fallback_equals_native(self, drawn):
         """Without the C kernel the scalar loop answers identically."""
-        batch, requests = drawn
-        requests = [SweepRequest(r.schedule_index, r.points,
-                                 r.deadline_seconds,
-                                 sleep=[None, PLATFORM.sleep][i % 2])
-                    for i, r in enumerate(requests)]
-        native = batch_energy_sweep(batch, requests)
+        batch, sweeps = drawn
+        sweeps = [replace(r, sleep=[None, PLATFORM.sleep][i % 2])
+                    for i, r in enumerate(sweeps)]
+        native = batch_energy_sweep(batch, sweeps)
         saved = batch_mod.CKERNEL_ACTIVE
         batch_mod.CKERNEL_ACTIVE = False
         try:
-            fallback = batch_energy_sweep(batch, requests)
+            fallback = batch_energy_sweep(batch, sweeps)
         finally:
             batch_mod.CKERNEL_ACTIVE = saved
         for g_list, w_list in zip(native, fallback):

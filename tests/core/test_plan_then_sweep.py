@@ -43,8 +43,8 @@ def constant_energy(schedule, point, window, sleep):
     return EnergyBreakdown(busy=1.0, idle=0.0)
 
 
-def constant_sweeps(sweeps, deadline_seconds):
-    return [[constant_energy(ps.schedule, p, deadline_seconds, ps.sleep)
+def constant_sweeps(sweeps):
+    return [[constant_energy(ps.schedule, p, ps.deadline_seconds, ps.sleep)
              for p in ps.points] for ps in sweeps]
 
 

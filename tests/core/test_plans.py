@@ -30,8 +30,9 @@ from hypothesis import strategies as st
 from repro.audit.report import AuditLog, AuditViolationError
 from repro.core import evaluate_all, lamps_search, paper_suite, \
     paper_suite_batch
+from repro.core.batch import PlannedSweep
 from repro.core.lamps import energy_vs_processors
-from repro.core.plans import PlanCache, PlannedSweep, sweep_energies
+from repro.core.plans import PlanCache, sweep_energies
 from repro.core.platform import default_platform
 from repro.core.energy import schedule_energy
 from repro.core.stretch import feasible_points, required_frequency
@@ -491,14 +492,18 @@ class TestSweepEnergies:
             pts = feasible_points(
                 platform.ladder, required_frequency(s, d, platform.fmax))
             planned.append(PlannedSweep(schedule=s, points=tuple(pts),
+                                        deadline_seconds=window,
                                         sleep=platform.sleep))
-        # Repeat one schedule so the dedup path is exercised.
+        # Repeat one schedule, in a longer window, so the dedup path is
+        # exercised and each sweep keeps its own window.
         planned.append(PlannedSweep(schedule=planned[0].schedule,
-                                    points=planned[0].points, sleep=None))
-        got = sweep_energies(planned, window)
-        want = [[schedule_energy(ps.schedule, p, window, sleep=ps.sleep)
+                                    points=planned[0].points,
+                                    deadline_seconds=2.0 * window))
+        got = sweep_energies(planned)
+        want = [[schedule_energy(ps.schedule, p, ps.deadline_seconds,
+                                 sleep=ps.sleep)
                  for p in ps.points] for ps in planned]
         assert got == want
 
     def test_empty(self):
-        assert sweep_energies([], 1.0) == []
+        assert sweep_energies([]) == []

@@ -64,14 +64,12 @@ def test_vectorized_sweep_is_invisible(serial_report, monkeypatch):
 
     calls = []
 
-    def scalar_sweeps(sweeps, deadline_seconds):
+    def scalar_sweeps(sweeps):
         calls.append(len(sweeps))
-        windows = (list(deadline_seconds)
-                   if isinstance(deadline_seconds, (list, tuple))
-                   else [deadline_seconds] * len(sweeps))
-        return [[schedule_energy(ps.schedule, p, window, sleep=ps.sleep)
+        return [[schedule_energy(ps.schedule, p, ps.deadline_seconds,
+                                 sleep=ps.sleep)
                  for p in ps.points]
-                for ps, window in zip(sweeps, windows)]
+                for ps in sweeps]
 
     monkeypatch.setattr(repro.core.suite, "sweep_energies", scalar_sweeps)
     scalar = _campaign(ExecOptions(jobs=1, use_cache=False))

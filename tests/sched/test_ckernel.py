@@ -17,7 +17,11 @@ differential test is skipped; the gate tests still run.
 import multiprocessing
 import os
 import pickle
+import shutil
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -133,24 +137,15 @@ class TestGate:
         if os.environ.get("REPRO_NO_CKERNEL"):
             assert not ckernel.CKERNEL_ACTIVE
         if ckernel._DISABLED:
-            assert ckernel._plan is None
-
-    def test_inactive_kernel_raises_cleanly(self, monkeypatch):
-        monkeypatch.setattr(ckernel, "_plan", None)
-        with pytest.raises(RuntimeError):
-            ckernel.plan_schedule_c(TaskGraph({"only": 1.0}),
-                                    np.zeros(1), 1)
+            assert ckernel._lib is None
 
     def test_self_test_passes_on_loaded_kernel(self):
-        if ckernel._plan is None:
+        if ckernel._lib is None:
             pytest.skip("kernel not loaded")
-        assert ckernel._self_test(ckernel._plan)
+        assert ckernel._self_test()
 
     def test_disabled_subprocess_never_activates(self):
         """A fresh interpreter under REPRO_NO_CKERNEL stays on Python."""
-        import subprocess
-        import sys
-
         env = dict(os.environ, REPRO_NO_CKERNEL="1")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (env.get("PYTHONPATH"), "src") if p)
@@ -394,8 +389,7 @@ class TestLevelsMatchReference:
         assert str(native.value) == str(python.value)
 
     def test_self_test_covers_every_routine(self):
-        assert ckernel._self_test(ckernel._plan, ckernel._levels,
-                                  ckernel._sweep)
+        assert ckernel._self_test() and ckernel._sweep_self_test()
 
 
 # ----------------------------------------------------------------------
@@ -485,6 +479,39 @@ class TestCompileFlags:
         monkeypatch.setattr(ckernel, "_CFLAGS",
                             ckernel._CFLAGS + ("-DREPRO_TAG_PROBE",))
         assert ckernel._compile_cached() != before
+
+    def test_cache_tag_covers_the_source(self, monkeypatch, tmp_path):
+        """A one-byte source change must not reuse the old object."""
+        source = bytearray(Path(ckernel._C_FILE).read_bytes())
+        source[-1] ^= 1
+        edited = tmp_path / "ckernel.c"
+        edited.write_bytes(bytes(source))
+        monkeypatch.setattr(ckernel.os.path, "exists", lambda _: True)
+        before = ckernel._compile_cached()
+        monkeypatch.setattr(ckernel, "_C_FILE", str(edited))
+        assert ckernel._compile_cached() != before
+
+
+class TestPackaging:
+    def test_built_package_carries_the_source(self, tmp_path):
+        """``build_py`` ships ``ckernel.c`` as package data.
+
+        Runs on a copy: ``build_py`` writes ``src/repro.egg-info``.
+        """
+        pytest.importorskip("setuptools")
+        root = Path(__file__).resolve().parents[2]
+        for name in ("pyproject.toml", "setup.py"):
+            shutil.copy(root / name, tmp_path / name)
+        shutil.copytree(root / "src", tmp_path / "src",
+                        ignore=shutil.ignore_patterns("__pycache__",
+                                                      "*.egg-info"))
+        out = tmp_path / "build"
+        subprocess.run([sys.executable, "setup.py", "-q", "build_py",
+                        "--build-lib", str(out)], cwd=tmp_path,
+                       check=True, capture_output=True, timeout=120)
+        shipped = out / "repro" / "sched" / "ckernel.c"
+        assert shipped.read_bytes() == \
+            Path(ckernel._C_FILE).read_bytes()
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import asyncio
 import json
 
 from repro.obs.metrics import parse_prometheus, validate_exposition
+from repro.sched.ckernel import CKERNEL_ACTIVE
 from repro.serve import ScheduleServer
 
 SMALL = {"graph": {"name": "met", "weights": [3.1e6, 6.2e6, 4.0e6],
@@ -104,6 +105,18 @@ class TestMetricsEndpoint:
             assert "serve.request" in names
 
         _serve(body, cache_dir=str(tmp_path))
+
+    def test_reports_the_active_kernel(self):
+        """A package that lost ``ckernel.c`` runs the Python loops;
+        the gauge says which backend serves."""
+        async def body(server, host, port):
+            _, _, text = await _raw(host, port, "GET", "/metrics")
+            gauge = parse_prometheus(text)["repro_sched_ckernel_active"]
+            assert gauge["type"] == "gauge"
+            assert gauge["samples"] == [
+                ("repro_sched_ckernel_active", {}, float(CKERNEL_ACTIVE))]
+
+        _serve(body, cache_dir=None)
 
     def test_cacheless_server_still_exposes(self):
         async def body(server, host, port):
