@@ -55,8 +55,8 @@ def _experiments(full: bool, exec_options: ExecOptions
         "fig3": lambda: fig03_breakeven.run(),
         "fig4": lambda: fig04_07_example.run(),
         "fig6": lambda: fig06_energy_vs_n.run(),
-        "table2": lambda: table2_benchmarks.run(graphs_per_group=gpg,
-                                                exec_options=ex),
+        "table2": lambda: table2_benchmarks.run(
+            graphs_per_group=20 if full else 10, exec_options=ex),
         "fig10": lambda: fig10_11_relative_energy.run(
             scenario=COARSE, graphs_per_group=gpg, sizes=sizes_small,
             exec_options=ex),
@@ -73,17 +73,17 @@ def _experiments(full: bool, exec_options: ExecOptions
         "headline": lambda: headline.run(
             graphs_per_group=8 if full else 4),
         "ext-multifreq": lambda: ext_multifreq.run(
-            graphs_per_group=6 if full else 3),
+            graphs_per_group=6 if full else 4),
         "ext-abb": lambda: ext_abb.run(
-            graphs_per_group=6 if full else 3),
+            graphs_per_group=6 if full else 4),
         "ext-runtime": lambda: ext_runtime.run(
-            graphs_per_group=6 if full else 3),
+            graphs_per_group=6 if full else 4),
         "ext-comm": lambda: ext_comm.run(
-            graphs_per_group=6 if full else 3),
+            graphs_per_group=6 if full else 4),
         "ext-technology": lambda: ext_technology.run(
-            graphs_per_group=6 if full else 3),
+            graphs_per_group=6 if full else 4),
         "ext-hetero": lambda: ext_hetero.run(
-            graphs_per_group=6 if full else 3),
+            graphs_per_group=6 if full else 4),
         "scorecard": lambda: scorecard.run(),
     }
 

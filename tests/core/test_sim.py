@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import default_platform, lamps_ps, schedule_energy, sns
+from repro.core import Heuristic, default_platform, lamps_ps, paper_suite, \
+    schedule_energy, sns
 from repro.graphs.analysis import critical_path_length
 from repro.graphs.generators import stg_random_graph
 from repro.sim import (
@@ -71,7 +72,7 @@ class TestCrossValidation:
         trace.validate()
         assert trace.energy() == pytest.approx(r.total_energy, rel=1e-12)
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(8))
     def test_cross_validation_pool(self, seed):
         plat = default_platform()
         g = stg_random_graph(30, seed).scaled(3.1e6)
@@ -81,6 +82,18 @@ class TestCrossValidation:
         analytic = schedule_energy(r.schedule, r.point,
                                    r.deadline_seconds, sleep=plat.sleep)
         assert trace.energy() == pytest.approx(analytic.total, rel=1e-12)
+        # Every concrete heuristic's schedule at 50 tasks, 2 x CPL.
+        g = stg_random_graph(50, seed).scaled(3.1e6)
+        results = paper_suite(g, 2 * critical_path_length(g))
+        for h in (Heuristic.SNS, Heuristic.LAMPS, Heuristic.SNS_PS,
+                  Heuristic.LAMPS_PS):
+            r = results[h]
+            trace = execute(r.schedule, r.point, r.deadline_seconds,
+                            shutdown=h in (Heuristic.SNS_PS,
+                                           Heuristic.LAMPS_PS))
+            trace.validate()
+            assert trace.energy() == pytest.approx(r.total_energy,
+                                                   rel=1e-12), h
 
     def test_energy_by_state_sums_to_total(self, plan):
         trace = execute(plan.schedule, plan.point, plan.deadline_seconds)

@@ -1,15 +1,17 @@
-"""Tests for the extension experiments (multifreq, ABB)."""
+"""Tests for the extension experiments, on the reports the CLI prints."""
 
 import pytest
 
-from repro.experiments import ext_abb, ext_multifreq
+
+def _increasing(values, *, strict=False):
+    pairs = list(zip(values, values[1:]))
+    return all(b > a if strict else b >= a for a, b in pairs)
 
 
 class TestExtMultifreq:
     @pytest.fixture(scope="class")
-    def report(self):
-        return ext_multifreq.run(sizes=(50,), graphs_per_group=3,
-                                 deadline_factors=(1.5,))
+    def report(self, cli_reports):
+        return cli_reports["ext-multifreq"]
 
     def test_structure(self, report):
         assert report.experiment == "ext-multifreq"
@@ -18,6 +20,7 @@ class TestExtMultifreq:
     def test_gains_bounded(self, report):
         assert 0.0 <= report.data["mean_gain"] <= 1.0
         assert report.data["max_gain"] >= report.data["mean_gain"]
+        assert report.data["max_gain"] < 0.15
 
     def test_papers_conjecture_holds(self, report):
         # "The actual benefit ... will probably be much less" — the
@@ -28,9 +31,8 @@ class TestExtMultifreq:
 
 class TestExtAbb:
     @pytest.fixture(scope="class")
-    def report(self):
-        return ext_abb.run(sizes=(50,), graphs_per_group=3,
-                           deadline_factors=(1.5, 4.0))
+    def report(self, cli_reports):
+        return cli_reports["ext-abb"]
 
     def test_structure(self, report):
         assert report.experiment == "ext-abb"
@@ -38,8 +40,8 @@ class TestExtAbb:
 
     def test_abb_saves_energy(self, report):
         means = report.data["mean_savings"]
-        for factor, saving in means.items():
-            assert saving > 0.05, factor  # ABB is a real lever here
+        assert means[1.5] > 0.05
+        assert means[4.0] > 0.10
 
     def test_looser_deadline_saves_more(self, report):
         means = report.data["mean_savings"]
@@ -52,10 +54,8 @@ class TestExtAbb:
 
 class TestExtRuntime:
     @pytest.fixture(scope="class")
-    def report(self):
-        from repro.experiments import ext_runtime
-
-        return ext_runtime.run(sizes=(50,), graphs_per_group=3)
+    def report(self, cli_reports):
+        return cli_reports["ext-runtime"]
 
     def test_structure(self, report):
         assert report.experiment == "ext-runtime"
@@ -73,11 +73,8 @@ class TestExtRuntime:
 
 class TestExtComm:
     @pytest.fixture(scope="class")
-    def report(self):
-        from repro.experiments import ext_comm
-
-        return ext_comm.run(sizes=(50,), graphs_per_group=3,
-                            ccrs=(0.0, 2.0))
+    def report(self, cli_reports):
+        return cli_reports["ext-comm"]
 
     def test_structure(self, report):
         assert report.experiment == "ext-comm"
@@ -85,29 +82,33 @@ class TestExtComm:
 
     def test_energy_monotone_in_ccr(self, report):
         e = report.data["mean_energy"]
-        assert e[2.0] >= e[0.0] - 1e-12
+        assert _increasing([e[c] for c in sorted(e)])
 
     def test_processors_never_increase(self, report):
         n = report.data["mean_processors"]
-        assert n[2.0] <= n[0.0] + 1e-9
+        ccrs = sorted(n)
+        assert n[ccrs[-1]] <= n[ccrs[0]] + 1e-9
 
 
 class TestExtTechnology:
     @pytest.fixture(scope="class")
-    def report(self):
-        from repro.experiments import ext_technology
-
-        return ext_technology.run(sizes=(50,), graphs_per_group=3,
-                                  leakage_scales=(0.1, 1.0, 10.0))
+    def report(self, cli_reports):
+        return cli_reports["ext-technology"]
 
     def test_savings_grow_with_leakage(self, report):
         s = report.data["savings"]
-        assert s[0.1] < s[1.0] < s[10.0]
+        scales = sorted(s)
+        assert _increasing([s[k] for k in scales], strict=True)
+        # At the paper's node the saving is already substantial; in
+        # the near-zero-leakage past it was well below the future's.
+        assert s[1.0] > 0.2
+        assert s[scales[0]] < s[scales[-1]] - 0.1
 
     def test_static_fraction_grows(self, report):
         f = report.data["static_fraction"]
-        assert f[0.1] < f[1.0] < f[10.0]
-        assert 0.0 < f[0.1] and f[10.0] < 1.0
+        fractions = [f[k] for k in sorted(f)]
+        assert _increasing(fractions, strict=True)
+        assert 0.0 < fractions[0] and fractions[-1] < 1.0
 
 
 class TestReportSerialization:
@@ -146,11 +147,8 @@ class TestReportSerialization:
 
 class TestExtHetero:
     @pytest.fixture(scope="class")
-    def report(self):
-        from repro.experiments import ext_hetero
-
-        return ext_hetero.run(sizes=(50,), graphs_per_group=2,
-                              deadline_factors=(1.5, 8.0))
+    def report(self, cli_reports):
+        return cli_reports["ext-hetero"]
 
     def test_structure(self, report):
         assert report.experiment == "ext-hetero"
@@ -158,20 +156,24 @@ class TestExtHetero:
 
     def test_loose_deadline_saves_more(self, report):
         s = report.data["savings"]
-        assert s[8.0] >= s[1.5] - 1e-9
+        savings = [s[f] for f in sorted(s)]
+        assert _increasing(savings)
+        # The search contains big-only configurations, so it never
+        # loses; at generous slack the dividend nears the little cores'
+        # efficiency gap (1 - m*c = 40%).
+        assert savings[0] >= -1e-9
+        assert savings[-1] > 0.25
 
     def test_little_share_grows(self, report):
         sh = report.data["little_share"]
-        assert sh[8.0] >= sh[1.5] - 1e-9
-        assert 0.0 <= sh[1.5] <= 1.0
+        shares = [sh[f] for f in sorted(sh)]
+        assert _increasing(shares)
+        assert 0.0 <= shares[0] and shares[-1] <= 1.0
 
 
 class TestExtMultifreqIslands:
-    def test_island_gain_between_single_and_independent(self):
-        from repro.experiments import ext_multifreq
-
-        rep = ext_multifreq.run(sizes=(50,), graphs_per_group=3,
-                                deadline_factors=(1.5,))
+    def test_island_gain_between_single_and_independent(self, cli_reports):
+        rep = cli_reports["ext-multifreq"]
         # Two islands is a restriction of per-processor rails: its
         # mean gain cannot exceed the independent case's, and cannot
         # be negative (it contains the single-frequency base).
